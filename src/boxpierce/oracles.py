@@ -1,10 +1,14 @@
 """Ground-truth solvers for small box families.
 
 `nu_exact` computes the packing number (maximum pairwise-disjoint
-subfamily) by branch and bound over the intersection graph, and
-`tau_exact` the piercing number (minimum point set meeting every box)
-by iterative-deepening search over a canonical candidate grid. Both are
-exact and deterministic: identical inputs yield identical witnesses.
+subfamily) by branch and bound over the intersection graph, one
+connected component at a time, and `tau_exact` the piercing number
+(minimum point set meeting every box) by iterative-deepening search
+over a canonical candidate grid. Both are exact and deterministic:
+identical inputs yield identical witnesses. The nu witness is the
+lexicographically greatest maximum disjoint subfamily (at the first
+index where two candidates differ, the one containing that index
+wins), which on a disjoint union is the union of each component's.
 
 Exactness is what the constructive piercing algorithms lean on for
 their certified guarantees, so families larger than the configured cap
@@ -74,21 +78,33 @@ def _greedy_disjoint(adj: list[int], avail: int) -> int:
     return taken
 
 
-def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
-    """Exact packing number: maximum independent set in the intersection graph.
+def _components(adj: list[int]):
+    """Yield the connected components of the intersection graph as bitmasks."""
+    rest = (1 << len(adj)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier &= frontier - 1
+                reach |= adj[bit.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest &= ~comp
+        yield comp
+
+
+def _max_disjoint(adj: list[int], avail: int) -> int:
+    """Lexicographically greatest maximum disjoint subset of `avail`, as a mask.
 
     Branch and bound on the lowest-index available box, include-branch
-    first, seeded with the greedy solution; the greedy value only prunes,
-    it never changes the result.
+    first, so leaves come in decreasing lexicographic order and the first
+    one of maximum size is kept. The greedy seed (the lexicographically
+    greatest maximal set) only prunes; it is the answer only when it is
+    already maximum.
     """
-    check_cap(f, cap)
-    boxes = f.boxes
-    n = len(boxes)
-    if n == 0:
-        return NuResult(0, ())
-    adj = _adjacency(boxes)
-
-    best = _greedy_disjoint(adj, (1 << n) - 1)
+    best = _greedy_disjoint(adj, avail)
     best_size = best.bit_count()
 
     def rec(avail: int, chosen: int, size: int) -> None:
@@ -104,9 +120,27 @@ def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
         rec(avail & ~adj[i] & ~bit, chosen | bit, size + 1)
         rec(avail & ~bit, chosen, size)
 
-    rec((1 << n) - 1, 0, 0)
-    witness = tuple(i for i in range(n) if (best >> i) & 1)
-    return NuResult(best_size, witness)
+    rec(avail, 0, 0)
+    return best
+
+
+def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
+    """Exact packing number: maximum independent set in the intersection graph.
+
+    The packing number adds up over connected components, so each
+    component is searched on its own and the results are joined. The
+    witness is the lexicographically greatest maximum disjoint
+    subfamily, the same one a single search over the whole family
+    returns: on a disjoint union that set is the union of each
+    component's lexicographically greatest one.
+    """
+    check_cap(f, cap)
+    adj = _adjacency(f.boxes)
+    best = 0
+    for comp in _components(adj):
+        best |= _max_disjoint(adj, comp)
+    witness = tuple(i for i in range(len(f)) if (best >> i) & 1)
+    return NuResult(len(witness), witness)
 
 
 def candidate_grid(f: BoxFamily) -> list[Point]:
@@ -190,14 +224,21 @@ def common_point(f: BoxFamily) -> Point:
 
     Boxes have the Helly property per axis (intervals pairwise overlap
     iff they share a point), so the coordinate-wise maximum of left
-    endpoints works. Raises on the first disjoint pair found.
+    endpoints works whenever max lo <= min hi on every axis. On the first
+    axis where that fails, the boxes holding max lo and min hi are a
+    disjoint pair, and the error names them.
     """
     if not f.boxes:
         raise ValueError("common point of an empty family is undefined")
     boxes = f.boxes
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if not intersects(boxes[i], boxes[j]):
-                raise ValueError(f"boxes {i} and {j} are disjoint; no common point exists")
-    coords = tuple(max(b.sides[ax].lo for b in boxes) for ax in range(f.dim))
-    return Point(coords)
+    coords = []
+    for ax in range(f.dim):
+        # max/min keep the lowest index among ties
+        i_lo = max(range(len(boxes)), key=lambda i: boxes[i].sides[ax].lo)
+        i_hi = min(range(len(boxes)), key=lambda i: boxes[i].sides[ax].hi)
+        lo = boxes[i_lo].sides[ax].lo
+        if lo > boxes[i_hi].sides[ax].hi:
+            i, j = sorted((i_lo, i_hi))
+            raise ValueError(f"boxes {i} and {j} are disjoint; no common point exists")
+        coords.append(lo)
+    return Point(tuple(coords))

@@ -21,11 +21,14 @@ every input box and whose size never exceeds the reported guarantee:
                        bound_prop1(nu, d) (DP-optimal).
 
 The exact packing number is computed once at the root (and inside
-threshold searches); recursive calls receive the upper bounds the split
-inequalities guarantee instead of re-solving subfamilies. Thresholds
-realize the continuous cut positions discretely: the left threshold is
-the smallest right endpoint at which the prefix first packs k+1
-pairwise-disjoint boxes, which keeps every inequality exact. All
+threshold searches for k >= 2); recursive calls receive the upper
+bounds the split inequalities guarantee instead of re-solving
+subfamilies. Thresholds realize the continuous cut positions
+discretely: the left threshold is the smallest right endpoint at which
+the prefix first packs k+1 pairwise-disjoint boxes, which keeps every
+inequality exact. For k == 1, which covers every round of the two-line
+sweep, "packs 2" means "not pairwise intersecting", and that is a Helly
+test (max lo > min hi on some axis) with no exact search at all. All
 tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
 index), so runs are deterministic.
 """
@@ -119,7 +122,25 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
     k+1, all disjoint from {l > a}. The prefix packing number is a
     nondecreasing step function of a changing only at right endpoints,
     so binary search over them is exact.
+
+    For k == 1 no search is needed: a prefix packs 2 iff it is not
+    pairwise intersecting, iff max lo > min hi on some axis (Helly per
+    axis). One scan in right-endpoint order, keeping those running
+    extremes, returns the first right endpoint at which that happens.
     """
+    if k == 1:
+        boxes = sorted(f.boxes, key=lambda b: b.sides[axis].hi)
+        if not boxes:
+            return None
+        max_lo = [iv.lo for iv in boxes[0].sides]
+        min_hi = [iv.hi for iv in boxes[0].sides]
+        for b in boxes:
+            for ax, iv in enumerate(b.sides):
+                max_lo[ax] = max(max_lo[ax], iv.lo)
+                min_hi[ax] = min(min_hi[ax], iv.hi)
+                if max_lo[ax] > min_hi[ax]:
+                    return b.sides[axis].hi
+        return None
     rights = sorted({b.sides[axis].hi for b in f.boxes})
     if not rights:
         return None
@@ -226,7 +247,9 @@ def _two_line_sweep(f: BoxFamily, bound: int, cap: int, tracer: _Tracer,
     Per round: the strict prefix below the threshold packs at most one
     disjoint box, so one common point covers it; the boxes crossing the
     threshold each meet a line, so the two crossing points cover them;
-    the suffix lost two disjoint boxes, so its bound drops by 2.
+    the suffix lost two disjoint boxes, so its bound drops by 2. Each
+    round's threshold is a k == 1 probe, i.e. the Helly test of
+    `_threshold_low`, so the sweep itself never calls the exact oracle.
     """
     lines = f.lines
     sweep_axis = 1 - lines.axis

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from boxpierce import Box, BoxFamily, Point, candidate_grid, intersects
 
 
@@ -21,19 +23,37 @@ def family_1d(pairs, lines=None) -> BoxFamily:
     return family([(p,) for p in pairs], lines=lines, dim=1)
 
 
-def brute_force_nu(f: BoxFamily) -> int:
-    """Largest pairwise-disjoint subset, by checking all 2^n subsets."""
+# Families of up to 10 boxes in 1-3 dimensions, dense enough that most
+# intersect and small enough for the brute-force references.
+small_families = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[
+            st.tuples(st.integers(-8, 8), st.integers(0, 6)) for _ in range(d)
+        ]).map(lambda sides: Box.from_bounds([(lo, lo + w) for lo, w in sides])),
+        max_size=10,
+    ).map(lambda bs: BoxFamily.of(bs, dim=d))
+)
+
+
+def brute_force_nu_witness(f: BoxFamily) -> tuple[int, ...]:
+    """Lexicographically greatest maximum pairwise-disjoint subset of indices.
+
+    Sizes are tried from the largest down, each in itertools order, and
+    the first disjoint subset wins: at the first index where two subsets
+    of one size differ, the earlier one in that order contains it.
+    """
     boxes = f.boxes
-    best = 0
     for r in range(len(boxes), 0, -1):
-        if r <= best:
-            break
         for subset in itertools.combinations(range(len(boxes)), r):
             if all(not intersects(boxes[i], boxes[j])
                    for i, j in itertools.combinations(subset, 2)):
-                best = r
-                break
-    return best
+                return subset
+    return ()
+
+
+def brute_force_nu(f: BoxFamily) -> int:
+    """Largest pairwise-disjoint subset, by checking all 2^n subsets."""
+    return len(brute_force_nu_witness(f))
 
 
 def brute_force_tau(f: BoxFamily, limit: int | None = None) -> int | None:

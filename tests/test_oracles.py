@@ -1,8 +1,11 @@
 """Exact oracles against independent brute-force enumeration."""
 
+import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
 
 from boxpierce import (
     BoxFamily,
@@ -10,13 +13,22 @@ from boxpierce import (
     RandomSpec,
     candidate_grid,
     common_point,
+    gen_extremal_two_line,
     gen_gadget,
     gen_random,
+    intersects,
     nu_exact,
     tau_exact,
 )
 
-from _helpers import brute_force_nu, brute_force_tau, family, family_1d
+from _helpers import (
+    brute_force_nu,
+    brute_force_nu_witness,
+    brute_force_tau,
+    family,
+    family_1d,
+    small_families,
+)
 
 
 # --- nu_exact ----------------------------------------------------------------
@@ -51,6 +63,18 @@ def test_nu_matches_exhaustive_on_random_families():
     for seed in range(60):
         fam = gen_random(RandomSpec(n_boxes=1 + seed % 9, coord_range=(0, 10), seed=seed))
         assert nu_exact(fam).nu == brute_force_nu(fam), f"seed {seed}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families)
+def test_nu_witness_is_lexicographically_greatest_maximum(fam):
+    assert nu_exact(fam).witness == brute_force_nu_witness(fam)
+
+
+def test_nu_extremal_splits_into_components():
+    # 40 disjoint gadgets, 100 boxes: one search over the whole family
+    # would be exponential in the number of gadgets
+    assert nu_exact(gen_extremal_two_line(40), cap=100).nu == 40
 
 
 def test_nu_cap_refusal():
@@ -164,3 +188,19 @@ def test_common_point_lies_in_every_box():
         fam = family(boxes)
         p = common_point(fam)
         assert all(b.contains(p) for b in fam.boxes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families.filter(len))
+def test_common_point_or_disjoint_pair(fam):
+    boxes = fam.boxes
+    disjoint = {(i, j) for i, j in itertools.combinations(range(len(boxes)), 2)
+                if not intersects(boxes[i], boxes[j])}
+    if not disjoint:
+        p = common_point(fam)
+        assert all(b.contains(p) for b in boxes)
+        return
+    with pytest.raises(ValueError) as exc:
+        common_point(fam)
+    named = re.search(r"boxes (\d+) and (\d+)", str(exc.value))
+    assert (int(named[1]), int(named[2])) in disjoint

@@ -1,6 +1,8 @@
 """Piercing algorithms: worked examples, guarantees, recursion structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxpierce import (
     Box,
@@ -11,6 +13,7 @@ from boxpierce import (
     bound_prop3,
     find_threshold,
     find_threshold_hi,
+    gen_extremal_two_line,
     gen_gadget,
     gen_random,
     h,
@@ -21,9 +24,10 @@ from boxpierce import (
     pierce_two_lines,
     tau_exact,
 )
+from boxpierce import piercing
 from boxpierce.piercing import _threshold_low
 
-from _helpers import family, family_1d, is_sound
+from _helpers import family, family_1d, is_sound, small_families
 
 
 # --- 1-d sweep ---------------------------------------------------------------
@@ -96,6 +100,32 @@ def test_threshold_postcondition_on_random_families():
             assert nu_exact(right).nu <= n - k - 1
 
 
+def reference_threshold(f, axis, k):
+    """Smallest right endpoint a with nu({r <= a}) >= k+1, by binary search with nu_exact."""
+    rights = sorted({b.sides[axis].hi for b in f.boxes})
+
+    def prefix_nu(x):
+        return nu_exact(f.replace_boxes(b for b in f.boxes if b.sides[axis].hi <= x)).nu
+
+    if not rights or prefix_nu(rights[-1]) <= k:
+        return None
+    lo, hi = 0, len(rights) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if prefix_nu(rights[mid]) >= k + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return rights[lo]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families, st.integers(0, 2))
+def test_threshold_k1_helly_matches_nu_search(fam, axis):
+    axis %= fam.dim
+    assert _threshold_low(fam, axis, 1, 32) == reference_threshold(fam, axis, 1)
+
+
 # --- two-line sweep ----------------------------------------------------------
 
 def test_two_lines_single_box():
@@ -128,6 +158,19 @@ def test_two_lines_guarantee_on_random_instances():
         assert rep.size <= rep.guarantee
         assert rep.guarantee == (3 * rep.nu_used) // 2
         assert tau_exact(fam).tau <= rep.size
+
+
+def test_two_line_sweep_solves_nu_only_at_the_root(monkeypatch):
+    calls = []
+
+    def counting_nu_exact(f, cap):
+        calls.append(len(f))
+        return nu_exact(f, cap)
+
+    monkeypatch.setattr(piercing, "nu_exact", counting_nu_exact)
+    rep = pierce_two_lines(gen_extremal_two_line(16), cap=40)
+    assert calls == [40]
+    assert rep.size == 24 and rep.guarantee == 24
 
 
 # --- planar recursion ----------------------------------------------------------

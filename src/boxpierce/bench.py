@@ -10,8 +10,6 @@ one. The numbers are engineering telemetry only.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .generators import RandomSpec, gen_random
 from .oracles import DEFAULT_CAP, nu_exact, tau_exact
 from .piercing import (
@@ -111,6 +109,8 @@ def run_bench(trials: int, seed: int = 0, max_boxes: int = 10, dim: int = 2,
     if jobs <= 1 or trials <= 1:
         return merge_stats(run_trial(seed, t, max_boxes, dim, coord_range, cap)
                            for t in all_ts)
+    # imported here so that starting the CLI does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     chunks = [(seed, all_ts[i::jobs], max_boxes, dim, coord_range, cap)
               for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -25,6 +25,9 @@ rules exactly:
 Integer rules are computed in exact integer arithmetic; real-valued
 rules in floating point, compared against integers with a 1e-9 absolute
 tolerance where an exact rational threshold is unavailable.
+
+The prop3 and prop1 tables also store the split that attains each value
+(`split_prop3`, `split_prop1`), which the DP-optimal piercing policy uses.
 """
 
 from __future__ import annotations
@@ -79,15 +82,27 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
 
 
-# Lazily extended DP tables; values are exact ints throughout.
-_prop3: list[int] = [0, 1]
-_prop3_pairs: list[int] = [0, 1]  # pairs[s] = min_{i+j=s} table[i]+table[j]
-_prop1: dict[int, list[int]] = {}
-_best: dict[int, list[int]] = {}
+# Lazily extended DP tables. Each cell is (value, split): the exact int
+# value and the smallest argmin attaining it (None below n = 2).
+_prop3: list[tuple[int, tuple[int, int, int] | None]] = [(0, None), (1, None)]
+_prop3_pairs: list[tuple[int, int]] = [(0, 0), (1, 0)]  # (min_{i+j=s} t[i]+t[j], first i)
+_prop1: dict[int, list[tuple[int, int | None]]] = {}
+_best: dict[int, list[tuple[int, int | None]]] = {}
 
 
-def _pair_min(table: list[int], s: int) -> int:
-    return min(table[i] + table[s - i] for i in range(s // 2 + 1))
+def _first_min(sums: list[int]) -> tuple[int, int]:
+    v = min(sums)
+    return v, sums.index(v)
+
+
+def _pairwise_cell(tables: dict, d: int, n: int, column) -> tuple[int, int | None]:
+    """Cell n of T(n) = min_k {T(k) + T(n-k-1)} + column(n), T kept in tables[d]."""
+    table = tables.setdefault(d, [(0, None), (1, None)])
+    while len(table) <= n:
+        m = len(table)
+        inner, k = _first_min([table[i][0] + table[m - 1 - i][0] for i in range(m - 1)])
+        table.append((inner + column(m), k))
+    return table[n]
 
 
 def bound_prop3(n: int) -> int:
@@ -97,10 +112,23 @@ def bound_prop3(n: int) -> int:
         m = len(_prop3)
         s = m - 2
         while len(_prop3_pairs) <= s:
-            _prop3_pairs.append(_pair_min(_prop3, len(_prop3_pairs)))
-        inner = min(_prop3[k] + _prop3_pairs[s - k] for k in range(s + 1))
-        _prop3.append(inner + (3 * m) // 2)
-    return _prop3[n]
+            t = len(_prop3_pairs)
+            # the first argmin over i <= t//2 is also the smallest over
+            # all i, since the sum is symmetric in i <-> t-i
+            _prop3_pairs.append(_first_min([_prop3[i][0] + _prop3[t - i][0]
+                                            for i in range(t // 2 + 1)]))
+        inner, k = _first_min([_prop3[i][0] + _prop3_pairs[s - i][0] for i in range(s + 1)])
+        l = _prop3_pairs[s - k][1]
+        _prop3.append((inner + (3 * m) // 2, (k, l, s - k - l)))
+    return _prop3[n][0]
+
+
+def split_prop3(n: int) -> tuple[int, int, int]:
+    """Sizes (k, l, m), k+l+m = n-2, attaining bound_prop3(n); smallest (k, l) on ties."""
+    bound_prop3(n)
+    if n < 2:
+        raise ValueError(f"split_prop3 needs n >= 2, got {n}")
+    return _prop3[n][1]
 
 
 def bound_prop1(n: int, d: int) -> int:
@@ -115,12 +143,15 @@ def bound_prop1(n: int, d: int) -> int:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     if d == 1:
         return n
-    table = _prop1.setdefault(d, [0, 1])
-    while len(table) <= n:
-        m = len(table)
-        inner = min(table[k] + table[m - 1 - k] for k in range(m - 1))
-        table.append(inner + bound_prop1(m, d - 1))
-    return table[n]
+    return _pairwise_cell(_prop1, d, n, lambda m: bound_prop1(m, d - 1))[0]
+
+
+def split_prop1(n: int, d: int) -> int:
+    """Smallest k attaining bound_prop1(n, d): the left part gets bound k, the right n-k-1."""
+    bound_prop1(n, d)
+    if n < 2 or d < 2:
+        raise ValueError(f"split_prop1 needs n >= 2 and d >= 2, got n={n}, d={d}")
+    return _prop1[d][n][1]
 
 
 def bound_lemma1(n: int, d: int) -> float:
@@ -175,12 +206,7 @@ def bound_best_known(n: int, d: int) -> int:
         if n <= 2:
             return (0, 1, 3)[n]
         return min(bound_prop3(n), bound_prop1(n, 2), bound_hadwiger2(n))
-    table = _best.setdefault(d, [0, 1])
-    while len(table) <= n:
-        m = len(table)
-        inner = min(table[k] + table[m - 1 - k] for k in range(m - 1))
-        table.append(inner + bound_best_known(m, d - 1))
-    return table[n]
+    return _pairwise_cell(_best, d, n, lambda m: bound_best_known(m, d - 1))[0]
 
 
 @dataclass(frozen=True)

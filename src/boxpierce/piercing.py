@@ -26,11 +26,14 @@ bounds the split inequalities guarantee instead of re-solving
 subfamilies. Thresholds realize the continuous cut positions
 discretely: the left threshold is the smallest right endpoint at which
 the prefix first packs k+1 pairwise-disjoint boxes, which keeps every
-inequality exact. For k == 1, which covers every round of the two-line
-sweep, "packs 2" means "not pairwise intersecting", and that is a Helly
-test (max lo > min hi on some axis) with no exact search at all. All
-tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
-index), so runs are deterministic.
+inequality exact. The right threshold is the left one of the family
+mirrored on the axis. Probes with k <= 1 on either side need no search:
+"packs 1" means "non-empty", and "packs 2" means "not pairwise
+intersecting", a Helly test (max lo > min hi on some axis); this covers
+every round of the two-line sweep. Split sizes under the DP-optimal
+policy come from the same tables that certify the guarantee
+(`split_prop3`, `split_prop1`). All tie-breaking is fixed (lowest axis,
+smallest coordinate, lowest box index), so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bounds import bound_lemma1, bound_prop1, bound_prop3, h
+from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
 from .geometry import (
+    Box,
     BoxFamily,
+    Interval,
     Point,
     TwoLines,
     lift_points,
@@ -123,15 +128,19 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
     nondecreasing step function of a changing only at right endpoints,
     so binary search over them is exact.
 
-    For k == 1 no search is needed: a prefix packs 2 iff it is not
-    pairwise intersecting, iff max lo > min hi on some axis (Helly per
-    axis). One scan in right-endpoint order, keeping those running
-    extremes, returns the first right endpoint at which that happens.
+    For k <= 1 no search is needed. A prefix packs 1 iff it is
+    non-empty, so for k == 0 the answer is the smallest right endpoint.
+    A prefix packs 2 iff it is not pairwise intersecting, iff max lo >
+    min hi on some axis (Helly per axis). For k == 1, one scan in
+    right-endpoint order, keeping those running extremes, returns the
+    first right endpoint at which that happens.
     """
+    if not len(f):
+        return None
+    if k == 0:
+        return min(b.sides[axis].hi for b in f.boxes)
     if k == 1:
         boxes = sorted(f.boxes, key=lambda b: b.sides[axis].hi)
-        if not boxes:
-            return None
         max_lo = [iv.lo for iv in boxes[0].sides]
         min_hi = [iv.hi for iv in boxes[0].sides]
         for b in boxes:
@@ -142,8 +151,6 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
                     return b.sides[axis].hi
         return None
     rights = sorted({b.sides[axis].hi for b in f.boxes})
-    if not rights:
-        return None
 
     def prefix_nu(x: int) -> int:
         sub = f.replace_boxes((b for b in f.boxes if b.sides[axis].hi <= x), f.lines)
@@ -161,26 +168,19 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
     return rights[lo]
 
 
-def _threshold_high(f: BoxFamily, axis: int, m: int, cap: int) -> int | None:
-    """Largest left endpoint b with nu({l >= b}) >= m+1, or None (mirror)."""
-    lefts = sorted({b.sides[axis].lo for b in f.boxes})
-    if not lefts:
-        return None
+def _mirror(f: BoxFamily, axis: int) -> BoxFamily:
+    """Reflect the axis by x -> ~x (= -1-x), which maps the 64-bit range onto itself.
 
-    def suffix_nu(x: int) -> int:
-        sub = f.replace_boxes((b for b in f.boxes if b.sides[axis].lo >= x), f.lines)
-        return nu_exact(sub, cap).nu
+    Left thresholds of the mirror are ~ the right thresholds of f. The
+    two-line certificate is dropped; packing numbers do not use it.
+    """
+    def flip(b: Box) -> Box:
+        iv = b.sides[axis]
+        sides = list(b.sides)
+        sides[axis] = Interval(~iv.hi, ~iv.lo)
+        return Box(sides)
 
-    if suffix_nu(lefts[0]) <= m:
-        return None
-    lo, hi = 0, len(lefts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if suffix_nu(lefts[mid]) >= m + 1:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lefts[lo]
+    return f.replace_boxes(map(flip, f.boxes))
 
 
 def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
@@ -193,12 +193,8 @@ def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> i
 
 
 def find_threshold_hi(f: BoxFamily, axis: int, m: int, cap: int = DEFAULT_CAP) -> int:
-    """Mirrored threshold search; raises if the packing number is <= m."""
-    check_cap(f, cap)
-    b = _threshold_high(f, axis, m, cap)
-    if b is None:
-        raise ValueError(f"no threshold: the family packs at most {m} disjoint boxes")
-    return b
+    """Largest left endpoint b with nu({l >= b}) >= m+1; raises if the packing number is <= m."""
+    return ~find_threshold(_mirror(f, axis), axis, m, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +300,6 @@ def _balanced_triple(n: int) -> tuple[int, int, int]:
     return parts[0], parts[1], parts[2]
 
 
-def _dp_triple(n: int) -> tuple[int, int, int]:
-    best = None
-    best_sum = None
-    for k in range(n - 1):
-        for l in range(n - 1 - k):
-            m = n - 2 - k - l
-            s = bound_prop3(k) + bound_prop3(l) + bound_prop3(m)
-            if best_sum is None or s < best_sum:
-                best, best_sum = (k, l, m), s
-    return best
-
-
 def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy, cap: int,
                 tracer: _Tracer, parent: int | None, depth: int) -> list[Point]:
     if not len(f):
@@ -325,15 +309,16 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy, cap: int,
             tracer.add(parent, op="common-point", dim=2, bound=bound, depth=depth,
                        sizes=(len(f),))
             return [common_point(f)]
-        k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else _dp_triple(bound)
+        k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
         a = _threshold_low(f, 0, k, cap)
         if a is None:  # nu(f) <= k: re-enter with the tight bound
             bound = k
             continue
-        b = _threshold_high(f, 0, m, cap)
+        b = _threshold_low(_mirror(f, 0), 0, m, cap)
         if b is None:
             bound = m
             continue
+        b = ~b
         break
     if a > b:
         # Both packing prefixes overrun each other; every cut point
@@ -365,33 +350,11 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
     """
     if f.dim != 2:
         raise ValueError(f"planar piercing needs a 2-d family, got dimension {f.dim}")
-    check_cap(f, cap)
-    root_nu = nu_exact(f, cap).nu
-    tracer = _Tracer()
-    points = _planar_rec(f, root_nu, policy, cap, tracer, None, 0)
-    if root_nu == 0:
-        guarantee = 0.0
-    elif policy is SplitPolicy.BALANCED:
-        guarantee = h(root_nu)
-    else:
-        guarantee = bound_prop3(root_nu)
-    return _report(points, guarantee, root_nu, tracer)
+    return _pierce(f, policy, cap)
 
 
 # ---------------------------------------------------------------------------
 # dimension recursion
-
-
-def _split_k(n: int, d: int, policy: SplitPolicy) -> int:
-    if policy is SplitPolicy.BALANCED:
-        return (n - 1) // 2
-    best_k = 0
-    best_sum = None
-    for k in range(n - 1):
-        s = bound_prop1(k, d) + bound_prop1(n - k - 1, d)
-        if best_sum is None or s < best_sum:
-            best_k, best_sum = k, s
-    return best_k
 
 
 def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
@@ -409,7 +372,7 @@ def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
             tracer.add(parent, op="common-point", dim=d, bound=bound, depth=depth,
                        sizes=(len(f),))
             return [common_point(f)]
-        k = _split_k(bound, d, policy)
+        k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, d)
         a = _threshold_low(f, 0, k, cap)
         if a is None:
             bound = k
@@ -426,6 +389,22 @@ def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
     return points
 
 
+def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
+    """Root of the planar and d-dim recursions (d >= 2): exact nu, then the guarantee it implies."""
+    check_cap(f, cap)
+    root_nu = nu_exact(f, cap).nu
+    tracer = _Tracer()
+    points = _ddim_rec(f, f.dim, root_nu, policy, cap, tracer, None, 0)
+    balanced = policy is SplitPolicy.BALANCED
+    if root_nu == 0:
+        guarantee = 0.0
+    elif f.dim == 2:
+        guarantee = h(root_nu) if balanced else bound_prop3(root_nu)
+    else:
+        guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
+    return _report(points, guarantee, root_nu, tracer)
+
+
 def pierce_ddim(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
                 cap: int = DEFAULT_CAP) -> PierceReport:
     """Pierce a family of any dimension.
@@ -438,16 +417,4 @@ def pierce_ddim(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
     """
     if f.dim == 1:
         return pierce_intervals_1d(f)
-    if f.dim == 2:
-        return pierce_planar(f, policy, cap)
-    check_cap(f, cap)
-    root_nu = nu_exact(f, cap).nu
-    tracer = _Tracer()
-    points = _ddim_rec(f, f.dim, root_nu, policy, cap, tracer, None, 0)
-    if root_nu == 0:
-        guarantee = 0.0
-    elif policy is SplitPolicy.BALANCED:
-        guarantee = bound_lemma1(root_nu, f.dim)
-    else:
-        guarantee = bound_prop1(root_nu, f.dim)
-    return _report(points, guarantee, root_nu, tracer)
+    return _pierce(f, policy, cap)

@@ -16,7 +16,7 @@ from boxpierce import (
     h,
     table_to_csv,
 )
-from boxpierce.bounds import log_base_cbrt9
+from boxpierce.bounds import log_base_cbrt9, split_prop1, split_prop3
 
 
 # --- pairwise-split DP -------------------------------------------------------
@@ -149,6 +149,53 @@ def test_dp_optimal_guarantee_never_worse_than_balanced():
     for n in range(2, 40):
         for d in (3, 4):
             assert bound_prop1(n, d) <= bound_lemma1(n, d) + 1e-9
+
+
+# --- stored splits -----------------------------------------------------------
+
+def reference_split_prop3(n):
+    """First (k, l, m) in lexicographic order minimising the prop3 inner sum."""
+    best = best_sum = None
+    for k in range(n - 1):
+        for l in range(n - 1 - k):
+            m = n - 2 - k - l
+            s = bound_prop3(k) + bound_prop3(l) + bound_prop3(m)
+            if best_sum is None or s < best_sum:
+                best, best_sum = (k, l, m), s
+    return best
+
+
+def reference_split_prop1(n, d):
+    """Smallest k minimising bound_prop1(k, d) + bound_prop1(n-k-1, d)."""
+    best_k = best_sum = None
+    for k in range(n - 1):
+        s = bound_prop1(k, d) + bound_prop1(n - k - 1, d)
+        if best_sum is None or s < best_sum:
+            best_k, best_sum = k, s
+    return best_k
+
+
+def test_split_prop3_matches_argmin_loop():
+    for n in range(2, 61):
+        k, l, m = split_prop3(n)
+        assert (k, l, m) == reference_split_prop3(n)
+        assert bound_prop3(k) + bound_prop3(l) + bound_prop3(m) + (3 * n) // 2 == bound_prop3(n)
+
+
+def test_split_prop1_matches_argmin_loop():
+    for d in (2, 3, 4):
+        for n in range(2, 61):
+            k = split_prop1(n, d)
+            assert k == reference_split_prop1(n, d)
+            assert (bound_prop1(k, d) + bound_prop1(n - k - 1, d) + bound_prop1(n, d - 1)
+                    == bound_prop1(n, d))
+
+
+def test_splits_reject_cells_without_a_split():
+    for bad in (lambda: split_prop3(1), lambda: split_prop3(-1),
+                lambda: split_prop1(1, 3), lambda: split_prop1(5, 1)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 # --- combined table ----------------------------------------------------------

@@ -152,3 +152,11 @@ def test_bench_parallel_matches_sequential():
     par = run("bench", "--trials", "10", "--boxes", "5", "--seed", "2", "--jobs", "2")
     assert seq.returncode == par.returncode == 0
     assert json.loads(seq.stdout) == json.loads(par.stdout)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # bench imports it only for --jobs > 1; every other subcommand starts without it
+    code = "import sys, boxpierce.cli; print('concurrent.futures.process' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -119,11 +119,80 @@ def reference_threshold(f, axis, k):
     return rights[lo]
 
 
+def reference_threshold_hi(f, axis, m):
+    """Largest left endpoint b with nu({l >= b}) >= m+1, by binary search with nu_exact."""
+    lefts = sorted({b.sides[axis].lo for b in f.boxes})
+
+    def suffix_nu(x):
+        return nu_exact(f.replace_boxes(b for b in f.boxes if b.sides[axis].lo >= x)).nu
+
+    if not lefts or suffix_nu(lefts[0]) <= m:
+        return None
+    lo, hi = 0, len(lefts) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if suffix_nu(lefts[mid]) >= m + 1:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lefts[lo]
+
+
+def threshold_hi_or_none(f, axis, m):
+    try:
+        return find_threshold_hi(f, axis, m)
+    except ValueError as e:
+        assert f"at most {m} disjoint" in str(e)
+        return None
+
+
 @settings(max_examples=200, deadline=None)
-@given(small_families, st.integers(0, 2))
-def test_threshold_k1_helly_matches_nu_search(fam, axis):
+@given(small_families, st.integers(0, 2), st.integers(0, 2))
+def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
+    # k <= 1 take the no-search shortcuts, k == 2 the binary search
     axis %= fam.dim
-    assert _threshold_low(fam, axis, 1, 32) == reference_threshold(fam, axis, 1)
+    assert _threshold_low(fam, axis, k, 32) == reference_threshold(fam, axis, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families, st.integers(0, 2), st.integers(0, 2))
+def test_threshold_hi_mirror_matches_suffix_search(fam, axis, m):
+    axis %= fam.dim
+    assert threshold_hi_or_none(fam, axis, m) == reference_threshold_hi(fam, axis, m)
+
+
+def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
+    def no_oracle(f, cap):
+        raise AssertionError("nu_exact called")
+
+    monkeypatch.setattr(piercing, "nu_exact", no_oracle)
+    for seed in range(40):
+        fam = gen_random(RandomSpec(n_boxes=1 + seed % 12, dim=1 + seed % 3,
+                                    coord_range=(0, 15), seed=1100 + seed))
+        for axis in range(fam.dim):
+            for k in (0, 1):
+                assert _threshold_low(fam, axis, k, 32) == reference_threshold(fam, axis, k)
+                assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+
+
+LO64, HI64 = -2**63, 2**63 - 1
+
+
+def extreme_family():
+    # axis 0 reaches both ends of the 64-bit range, where x -> -x overflows
+    return family([
+        ((LO64, LO64 + 5), (0, 3)), ((LO64 + 3, -10), (2, 8)), ((-20, 20), (0, 1)),
+        ((-5, 5), (4, 6)), ((15, HI64 - 7), (5, 9)), ((30, 40), (0, 2)),
+        ((HI64 - 9, HI64), (0, 9)), ((HI64 - 3, HI64), (10, 12)), ((LO64, HI64), (11, 11)),
+    ])
+
+
+def test_threshold_hi_at_64_bit_extremes():
+    fam = extreme_family()
+    assert [find_threshold_hi(fam, 0, m) for m in range(5)] == [HI64 - 3, HI64 - 9, 30, -5, -20]
+    assert [find_threshold(fam, 0, k) for k in range(5)] == [LO64 + 5, 5, 20, 40, HI64 - 7]
+    with pytest.raises(ValueError, match="at most 6"):
+        find_threshold_hi(fam, 0, 6)
 
 
 # --- two-line sweep ----------------------------------------------------------
@@ -210,6 +279,25 @@ def test_planar_stacked_boxes_sharing_x_range():
         assert is_sound(fam, rep.points)
         assert rep.size <= rep.guarantee
         assert tau_exact(fam).tau <= rep.size
+
+
+def test_planar_at_64_bit_extremes():
+    fam = extreme_family()
+    bal = pierce_planar(fam, SplitPolicy.BALANCED)
+    assert [p.coords for p in bal.points] == [
+        (LO64, 0), (LO64 + 5, 6), (-5, 6), (30, 0), (HI64 - 3, 10), (-20, 0), (20, 9),
+        (HI64 - 9, 9), (LO64, 11)]
+    assert [(t.lo, t.hi) for t in bal.trace if t.op == "split-four"] == [
+        (20, HI64 - 9), (LO64 + 5, -5)]
+    assert bal.nu_used == 6 and bal.guarantee == pytest.approx(h(6))
+    dp = pierce_planar(fam, SplitPolicy.DP_OPTIMAL)
+    assert [p.coords for p in dp.points] == [
+        (LO64 + 3, 2), (HI64 - 9, 0), (HI64, 12), (-20, 0), (5, 2), (30, 2), (-5, 4), (5, 9),
+        (30, 9), (LO64, 11)]
+    assert [(t.lo, t.hi) for t in dp.trace if t.op == "split-four"] == [(5, 30), (HI64, HI64)]
+    assert dp.nu_used == 6 and dp.guarantee == 14.0
+    for rep in (bal, dp):
+        assert is_sound(fam, rep.points)
 
 
 def test_planar_empty_family():

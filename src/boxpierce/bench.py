@@ -10,7 +10,11 @@ one. The numbers are engineering telemetry only.
 
 from __future__ import annotations
 
+from functools import partial
+from math import ceil
+
 from .generators import RandomSpec, gen_random
+from .instances import verify_piercing
 from .oracles import DEFAULT_CAP, nu_exact, tau_exact
 from .piercing import (
     SplitPolicy,
@@ -54,9 +58,7 @@ def run_trial(base_seed: int, t: int, max_boxes: int, dim: int,
     tau = tau_exact(family, cap).tau
     stats: dict = {"trials": 1, "violations": 0, "boxes_total": len(family), "algos": {}}
     for name, report in _algo_runs(family):
-        unhit = sum(1 for b in family.boxes
-                    if not any(b.contains(p) for p in report.points))
-        sound = unhit == 0
+        sound = verify_piercing(family, report.points).hits_all
         within = report.size <= report.guarantee
         sandwich = tau <= report.size or report.size == tau == 0
         ok = sound and within and sandwich
@@ -93,25 +95,17 @@ def merge_stats(parts) -> dict:
     return total
 
 
-def _run_chunk(args) -> dict:
-    base_seed, ts, max_boxes, dim, coord_range, cap = args
-    return merge_stats(run_trial(base_seed, t, max_boxes, dim, coord_range, cap)
-                       for t in ts)
-
-
 def run_bench(trials: int, seed: int = 0, max_boxes: int = 10, dim: int = 2,
               coord_range: tuple[int, int] = (0, 20), cap: int = DEFAULT_CAP,
               jobs: int = 1) -> dict:
     """Run the campaign; jobs > 1 distributes trials over processes."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    all_ts = list(range(trials))
+    trial = partial(run_trial, seed, max_boxes=max_boxes, dim=dim,
+                    coord_range=coord_range, cap=cap)
     if jobs <= 1 or trials <= 1:
-        return merge_stats(run_trial(seed, t, max_boxes, dim, coord_range, cap)
-                           for t in all_ts)
+        return merge_stats(map(trial, range(trials)))
     # imported here so that starting the CLI does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    chunks = [(seed, all_ts[i::jobs], max_boxes, dim, coord_range, cap)
-              for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return merge_stats(pool.map(_run_chunk, chunks))
+        return merge_stats(pool.map(trial, range(trials), chunksize=ceil(trials / jobs)))

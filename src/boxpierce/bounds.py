@@ -56,10 +56,6 @@ class BoundRule(str, Enum):
 #: Rules defined only in the plane.
 PLANAR_ONLY = frozenset({BoundRule.PROP3, BoundRule.HADWIGER2, BoundRule.H})
 
-#: Exact small values quoted for reference; not used as DP bases because
-#: their proofs come from constructions this package does not contain.
-KNOWN_EXACT = {(2, 2): 3, (2, 3): 4, (2, 4): 5}
-
 
 def log_base_cbrt9(x: float) -> float:
     return 3.0 * math.log(x) / _LN9
@@ -77,9 +73,11 @@ def asymptotic_constant() -> float:
     return LOG_CBRT9_OF_2
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, d: int = 1) -> None:
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
 # Lazily extended DP tables. Each cell is (value, split): the exact int
@@ -138,9 +136,7 @@ def bound_prop1(n: int, d: int) -> int:
     which is exactly what the same-dimension recursion of the
     dimension-reducing piercing algorithm achieves; see pierce_ddim.
     """
-    _check_n(n)
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_n(n, d)
     if d == 1:
         return n
     return _pairwise_cell(_prop1, d, n, lambda m: bound_prop1(m, d - 1))[0]
@@ -197,9 +193,7 @@ def bound_best_known(n: int, d: int) -> int:
     monotone). Higher dimensions run the pairwise-split recurrence over
     this combined column.
     """
-    _check_n(n)
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_n(n, d)
     if d == 1:
         return n
     if d == 2:

@@ -11,7 +11,6 @@ and may change between versions.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -146,8 +145,6 @@ def _cmd_gen(args) -> int:
         inst = Instance(gen_gadget(), {"generator": GADGET_TAG,
                                        "description": "5-box two-line family, nu=2 tau=3"})
     elif args.kind == "extremal":
-        if args.n < 1:
-            raise PreconditionError(f"extremal family needs n >= 1, got {args.n}")
         inst = Instance(gen_extremal_two_line(args.n),
                         {"generator": EXTREMAL_TAG, "n": args.n,
                          "description": f"two-line family with nu={args.n}, tau=floor(3n/2)"})
@@ -184,14 +181,8 @@ def _cmd_pierce(args) -> int:
     cap = _cap_of(args)
     policy = SplitPolicy.BALANCED if args.policy == "balanced" else SplitPolicy.DP_OPTIMAL
     if args.algo == "twoline":
-        if family.dim != 2:
-            raise PreconditionError(f"twoline needs a planar instance, got dimension {family.dim}")
-        if family.lines is None:
-            raise PreconditionError("twoline needs an instance with a lines certificate")
         report = pierce_two_lines(family, cap)
     elif args.algo == "planar":
-        if family.dim != 2:
-            raise PreconditionError(f"planar needs a 2-d instance, got dimension {family.dim}")
         report = pierce_planar(family, policy, cap)
     else:
         report = pierce_ddim(family, policy, cap)
@@ -200,10 +191,7 @@ def _cmd_pierce(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        table = build_table(BoundRule(args.rule), args.max_n, args.max_d)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    table = build_table(BoundRule(args.rule), args.max_n, args.max_d)
     _write_text(args.out, table_to_csv(table))
     return EXIT_OK
 
@@ -258,9 +246,6 @@ def main(argv=None) -> int:
     except (PreconditionError, ValueError) as exc:
         print(f"boxpierce: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except json.JSONDecodeError as exc:
-        print(f"boxpierce: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ An instance document holds `dim`, `boxes` (per-axis [lo, hi] integer
 pairs), an optional `lines` certificate and optional `meta`. Writing is
 canonical (sorted keys, fixed indentation, trailing newline), so
 write(read(file)) reproduces the file byte for byte and equal families
-serialize identically. Non-integer or NaN coordinates are rejected on
-read with the offending location.
+serialize identically. Reading checks the document's shape; each value
+is checked by the geometry constructor that builds it, whose error is
+re-raised as `InstanceFormatError` naming the location (`boxes[i][ax]`,
+`lines`, `points[i]`, or `instance` for rules on the whole family).
 
 A pierce report document embeds the instance it was computed from,
 which lets `verify` consume a report from a pipe without a separate
@@ -19,7 +21,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from .geometry import Box, BoxFamily, Point, TwoLines
+from .geometry import Box, BoxFamily, Interval, Point, TwoLines
 from .piercing import PierceReport
 
 
@@ -38,10 +40,12 @@ def _loads(text: str) -> Any:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _as_int(value: Any, where: str) -> int:
-    if type(value) is not int:
-        raise InstanceFormatError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _build(where: str, make, *args):
+    """Call a geometry constructor; its ValueError becomes an InstanceFormatError naming `where`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,9 @@ def instance_to_json(inst: Instance | BoxFamily) -> str:
 def obj_to_instance(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"instance document must be an object, got {type(obj).__name__}")
-    dim = _as_int(obj.get("dim"), "dim")
-    if dim < 1:
-        raise InstanceFormatError(f"dim: must be >= 1, got {dim}")
+    dim = obj.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise InstanceFormatError(f"dim: expected an integer >= 1, got {dim!r}")
     raw_boxes = obj.get("boxes")
     if not isinstance(raw_boxes, list):
         raise InstanceFormatError("boxes: expected a list")
@@ -92,31 +96,19 @@ def obj_to_instance(obj: Any) -> Instance:
         for ax, pair in enumerate(raw):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InstanceFormatError(f"boxes[{i}][{ax}]: expected an [lo, hi] pair")
-            lo = _as_int(pair[0], f"boxes[{i}][{ax}][0]")
-            hi = _as_int(pair[1], f"boxes[{i}][{ax}][1]")
-            if lo > hi:
-                raise InstanceFormatError(f"boxes[{i}][{ax}]: lo {lo} > hi {hi}")
-            sides.append((lo, hi))
-        boxes.append(Box.from_bounds(sides))
+            sides.append(_build(f"boxes[{i}][{ax}]", Interval, *pair))
+        boxes.append(Box(sides))
     lines = None
     if obj.get("lines") is not None:
         raw_lines = obj["lines"]
         if not isinstance(raw_lines, dict):
             raise InstanceFormatError("lines: expected an object with axis, c1, c2")
-        axis = _as_int(raw_lines.get("axis"), "lines.axis")
-        c1 = _as_int(raw_lines.get("c1"), "lines.c1")
-        c2 = _as_int(raw_lines.get("c2"), "lines.c2")
-        if c1 > c2:
-            raise InstanceFormatError(f"lines: c1 {c1} > c2 {c2}")
-        lines = TwoLines(axis, c1, c2)
+        lines = _build("lines", TwoLines, raw_lines.get("axis"), raw_lines.get("c1"),
+                       raw_lines.get("c2"))
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InstanceFormatError("meta: expected an object")
-    try:
-        family = BoxFamily(dim, tuple(boxes), lines)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    return Instance(family, meta)
+    return Instance(_build("instance", BoxFamily, dim, tuple(boxes), lines), meta)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -183,7 +175,7 @@ def points_from_obj(obj: Any, dim: int) -> list[Point]:
     for i, raw in enumerate(obj):
         if not isinstance(raw, list) or len(raw) != dim:
             raise InstanceFormatError(f"points[{i}]: expected {dim} coordinates")
-        points.append(Point(tuple(_as_int(c, f"points[{i}][{j}]") for j, c in enumerate(raw))))
+        points.append(_build(f"points[{i}]", Point, tuple(raw)))
     return points
 
 

@@ -120,7 +120,7 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
-def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
+def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
     """Smallest right endpoint a with nu({r <= a}) >= k+1, or None.
 
     Then {r < a} packs at most k disjoint boxes while {r <= a} packs
@@ -134,6 +134,9 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
     min hi on some axis (Helly per axis). For k == 1, one scan in
     right-endpoint order, keeping those running extremes, returns the
     first right endpoint at which that happens.
+
+    Callers pass parts of a root family that passed the cap check, so a
+    k >= 2 probe takes its own size as the cap.
     """
     if not len(f):
         return None
@@ -154,7 +157,7 @@ def _threshold_low(f: BoxFamily, axis: int, k: int, cap: int) -> int | None:
 
     def prefix_nu(x: int) -> int:
         sub = f.replace_boxes((b for b in f.boxes if b.sides[axis].hi <= x), f.lines)
-        return nu_exact(sub, cap).nu
+        return nu_exact(sub, len(sub)).nu
 
     if prefix_nu(rights[-1]) <= k:  # the full family: nu(f) <= k
         return None
@@ -186,7 +189,7 @@ def _mirror(f: BoxFamily, axis: int) -> BoxFamily:
 def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Public threshold search; raises if the packing number is <= k."""
     check_cap(f, cap)
-    a = _threshold_low(f, axis, k, cap)
+    a = _threshold_low(f, axis, k)
     if a is None:
         raise ValueError(f"no threshold: the family packs at most {k} disjoint boxes")
     return a
@@ -236,7 +239,7 @@ def _line_point(sweep_axis: int, sweep_val: int, line_val: int) -> Point:
     return Point(tuple(coords))
 
 
-def _two_line_sweep(f: BoxFamily, bound: int, cap: int, tracer: _Tracer,
+def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer,
                     parent: int | None, depth: int) -> list[Point]:
     """Sweep orthogonally to the certificate lines; bound >= nu(f) is required.
 
@@ -253,7 +256,7 @@ def _two_line_sweep(f: BoxFamily, bound: int, cap: int, tracer: _Tracer,
     remaining, b = f, bound
     while len(remaining):
         if b > 1:
-            t = _threshold_low(remaining, sweep_axis, 1, cap)
+            t = _threshold_low(remaining, sweep_axis, 1)
         else:
             t = None  # bound <= 1 on a nonempty family: pairwise intersecting
         if t is None:
@@ -283,10 +286,9 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
         raise ValueError(f"two-line piercing needs a planar family, got dimension {f.dim}")
     if f.lines is None:
         raise ValueError("family carries no two-line certificate")
-    check_cap(f, cap)
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _two_line_sweep(f, root_nu, cap, tracer, None, 0)
+    points = _two_line_sweep(f, root_nu, tracer, None, 0)
     return _report(points, (3 * root_nu) // 2, root_nu, tracer)
 
 
@@ -300,7 +302,7 @@ def _balanced_triple(n: int) -> tuple[int, int, int]:
     return parts[0], parts[1], parts[2]
 
 
-def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy, cap: int,
+def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
                 tracer: _Tracer, parent: int | None, depth: int) -> list[Point]:
     if not len(f):
         return []
@@ -310,11 +312,11 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy, cap: int,
                        sizes=(len(f),))
             return [common_point(f)]
         k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
-        a = _threshold_low(f, 0, k, cap)
+        a = _threshold_low(f, 0, k)
         if a is None:  # nu(f) <= k: re-enter with the tight bound
             bound = k
             continue
-        b = _threshold_low(_mirror(f, 0), 0, m, cap)
+        b = _threshold_low(_mirror(f, 0), 0, m)
         if b is None:
             bound = m
             continue
@@ -331,11 +333,11 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy, cap: int,
                       axis=0, lo=a, hi=b,
                       sizes=(len(parts.minus), len(parts.plusminus),
                              len(parts.plus), len(parts.zero)))
-    points = _planar_rec(parts.minus, k, policy, cap, tracer, node, depth + 1)
-    points += _planar_rec(parts.plusminus, l, policy, cap, tracer, node, depth + 1)
-    points += _planar_rec(parts.plus, m, policy, cap, tracer, node, depth + 1)
+    points = _planar_rec(parts.minus, k, policy, tracer, node, depth + 1)
+    points += _planar_rec(parts.plusminus, l, policy, tracer, node, depth + 1)
+    points += _planar_rec(parts.plus, m, policy, tracer, node, depth + 1)
     zero = BoxFamily(2, parts.zero.boxes, TwoLines(0, a, b))
-    points += _two_line_sweep(zero, bound, cap, tracer, node, depth + 1)
+    points += _two_line_sweep(zero, bound, tracer, node, depth + 1)
     return points
 
 
@@ -357,14 +359,14 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
 # dimension recursion
 
 
-def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
+def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy,
               tracer: _Tracer, parent: int | None, depth: int) -> list[Point]:
     if d == 1:
         points = _stab_points_1d(f)
         tracer.add(parent, op="sweep-1d", dim=1, bound=bound, depth=depth, sizes=(len(f),))
         return points
     if d == 2:
-        return _planar_rec(f, bound, policy, cap, tracer, parent, depth)
+        return _planar_rec(f, bound, policy, tracer, parent, depth)
     if not len(f):
         return []
     while True:
@@ -373,7 +375,7 @@ def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
                        sizes=(len(f),))
             return [common_point(f)]
         k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, d)
-        a = _threshold_low(f, 0, k, cap)
+        a = _threshold_low(f, 0, k)
         if a is None:
             bound = k
             continue
@@ -381,20 +383,19 @@ def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy, cap: int,
     minus, zero, plus = split_three(f, 0, a)
     node = tracer.add(parent, op="split-three", dim=d, bound=bound, depth=depth,
                       axis=0, lo=a, sizes=(len(minus), len(zero), len(plus)))
-    points = _ddim_rec(minus, d, k, policy, cap, tracer, node, depth + 1)
+    points = _ddim_rec(minus, d, k, policy, tracer, node, depth + 1)
     projected = project_onto_hyperplane(zero, 0, a)
-    inner = _ddim_rec(projected, d - 1, bound, policy, cap, tracer, node, depth + 1)
+    inner = _ddim_rec(projected, d - 1, bound, policy, tracer, node, depth + 1)
     points += lift_points(inner, 0, a)
-    points += _ddim_rec(plus, d, bound - k - 1, policy, cap, tracer, node, depth + 1)
+    points += _ddim_rec(plus, d, bound - k - 1, policy, tracer, node, depth + 1)
     return points
 
 
 def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     """Root of the planar and d-dim recursions (d >= 2): exact nu, then the guarantee it implies."""
-    check_cap(f, cap)
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _ddim_rec(f, f.dim, root_nu, policy, cap, tracer, None, 0)
+    points = _ddim_rec(f, f.dim, root_nu, policy, tracer, None, 0)
     balanced = policy is SplitPolicy.BALANCED
     if root_nu == 0:
         guarantee = 0.0

@@ -140,6 +140,20 @@ def test_malformed_json_exits_1():
     assert res.returncode == 1
 
 
+def test_out_of_range_coordinate_exits_1_with_location():
+    res = run("nu", stdin=json.dumps({"dim": 1, "boxes": [[[0, 2**63]]]}))
+    assert res.returncode == 1
+    assert "boxes[0][0]" in res.stderr
+
+
+def test_verify_out_of_range_point_exits_1():
+    report = json.loads(run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout)
+    report["points"][0] = [2**63, 0]
+    res = run("verify", stdin=json.dumps(report))
+    assert res.returncode == 1
+    assert "points[0]" in res.stderr
+
+
 def test_bench_runs_clean():
     res = run("bench", "--trials", "12", "--boxes", "6", "--seed", "5")
     assert res.returncode == 0
@@ -148,10 +162,13 @@ def test_bench_runs_clean():
 
 
 def test_bench_parallel_matches_sequential():
-    seq = run("bench", "--trials", "10", "--boxes", "5", "--seed", "2")
-    par = run("bench", "--trials", "10", "--boxes", "5", "--seed", "2", "--jobs", "2")
-    assert seq.returncode == par.returncode == 0
-    assert json.loads(seq.stdout) == json.loads(par.stdout)
+    # the second case splits 11 trials unevenly over 3 workers
+    for trials, jobs, dim in (("10", "2", "2"), ("11", "3", "3")):
+        args = ("bench", "--trials", trials, "--boxes", "5", "--seed", "2", "--dim", dim)
+        seq = run(*args)
+        par = run(*args, "--jobs", jobs)
+        assert seq.returncode == par.returncode == 0
+        assert seq.stdout == par.stdout
 
 
 def test_cli_import_leaves_process_pool_unloaded():

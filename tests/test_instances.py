@@ -1,6 +1,10 @@
 """Instance files: canonical JSON round trips, validation, verification."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxpierce import (
     Instance,
@@ -68,6 +72,46 @@ def test_two_line_violation_in_file_reported():
             '"lines": {"axis": 1, "c1": 0, "c2": 2}}')
     with pytest.raises(InstanceFormatError, match="box 0"):
         instance_from_json(text)
+
+
+def _instance(doc):
+    return instance_from_json(json.dumps(doc))
+
+
+def _points(doc):
+    return parse_points_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("parse, doc, where", [
+    (_instance, {"dim": 1, "boxes": [[[0, 2**63]]]}, "boxes[0][0]"),
+    (_instance, {"dim": 1, "boxes": [[[0, 1.5]]]}, "boxes[0][0]"),
+    (_instance, {"dim": 2, "boxes": [], "lines": {"axis": -1, "c1": 0, "c2": 2}}, "lines"),
+    (_instance, {"dim": 2, "boxes": [], "lines": {"axis": 1, "c1": 0, "c2": 10**20}}, "lines"),
+    (_instance, {"dim": 2, "boxes": [[[0, 1], [0, 1]]],
+                 "lines": {"axis": 5, "c1": 0, "c2": 2}}, "instance"),
+    (_points, {"points": [[2**63]]}, "points[0]"),
+], ids=["coord-2^63", "float-coord", "line-axis-neg", "line-c2-huge", "line-axis-5-dim-2",
+        "point-2^63"])
+def test_invalid_field_names_its_location(parse, doc, where):
+    with pytest.raises(InstanceFormatError) as info:
+        parse(doc)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+_slot = st.one_of(st.integers(-2**64, 2**64), st.floats(), st.booleans(), st.none(),
+                  st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_slot, _slot, _slot, _slot), max_size=3),
+       st.none() | st.fixed_dictionaries({"axis": _slot, "c1": _slot, "c2": _slot}))
+def test_reader_round_trips_or_raises_format_error(boxes, lines):
+    doc = {"dim": 2, "boxes": [[[a, b], [c, d]] for a, b, c, d in boxes], "lines": lines}
+    try:
+        inst = _instance(doc)
+    except InstanceFormatError:
+        return
+    assert instance_from_json(instance_to_json(inst)).family == inst.family
 
 
 def test_canonical_output_is_key_sorted():

@@ -151,7 +151,7 @@ def threshold_hi_or_none(f, axis, m):
 def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
     # k <= 1 take the no-search shortcuts, k == 2 the binary search
     axis %= fam.dim
-    assert _threshold_low(fam, axis, k, 32) == reference_threshold(fam, axis, k)
+    assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,7 +171,7 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
                                     coord_range=(0, 15), seed=1100 + seed))
         for axis in range(fam.dim):
             for k in (0, 1):
-                assert _threshold_low(fam, axis, k, 32) == reference_threshold(fam, axis, k)
+                assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
                 assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
 
 
@@ -416,5 +416,5 @@ def test_pierce_cap_refusal():
 
 def test_internal_threshold_helper_matches_public():
     fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert _threshold_low(fam, 0, 1, 32) == 3
-    assert _threshold_low(family_1d([(0, 9), (1, 8)]), 0, 1, 32) is None
+    assert _threshold_low(fam, 0, 1) == 3
+    assert _threshold_low(family_1d([(0, 9), (1, 8)]), 0, 1) is None

@@ -1,4 +1,4 @@
-"""Command-line surface: gen | nu | tau | pierce | bounds | verify | bench.
+"""Command-line surface: gen | nu | tau | pierce | bounds | verify.
 
 Instances and reports are JSON documents; `-` means stdin/stdout, so
 commands compose in pipes (`boxpierce gen gadget | boxpierce pierce
@@ -11,10 +11,8 @@ and may change between versions.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .bench import run_bench
 from .bounds import BoundRule, build_table, table_to_csv
 from .generators import (
     EXTREMAL_TAG,
@@ -46,30 +44,14 @@ EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_CAP = 3
 
-CAP_ENV_VAR = "BOXPIERCE_CAP"
-
 
 class PreconditionError(ValueError):
     """Inputs are well-formed but incompatible with the requested command."""
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _add_cap_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=int, default=None,
-                        help=f"exact-oracle size cap (default {DEFAULT_CAP}, env {CAP_ENV_VAR})")
-
-
-def _cap_of(args) -> int:
-    return args.cap if args.cap is not None else _default_cap()
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help=f"exact-oracle size cap (default {DEFAULT_CAP})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,16 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--oracles", action="store_true",
                           help="also report exact nu and tau (cap permitting)")
 
-    p_bench = sub.add_parser("bench", help="seeded fuzz campaign (telemetry only)")
-    p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--boxes", type=int, default=10)
-    p_bench.add_argument("--dim", type=int, default=2)
-    p_bench.add_argument("--range", type=int, nargs=2, default=(0, 20), metavar=("LO", "HI"))
-    p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--out", default="-")
-    _add_cap_flag(p_bench)
-
     return parser
 
 
@@ -160,14 +132,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_nu(args) -> int:
     family = load_instance(args.instance).family
-    result = nu_exact(family, _cap_of(args))
+    result = nu_exact(family, args.cap)
     sys.stdout.write(dumps_canonical({"nu": result.nu, "witness": list(result.witness)}))
     return EXIT_OK
 
 
 def _cmd_tau(args) -> int:
     family = load_instance(args.instance).family
-    result = tau_exact(family, _cap_of(args))
+    result = tau_exact(family, args.cap)
     sys.stdout.write(dumps_canonical({
         "tau": result.tau,
         "witness": [list(p.coords) for p in result.witness],
@@ -178,14 +150,13 @@ def _cmd_tau(args) -> int:
 def _cmd_pierce(args) -> int:
     inst = load_instance(args.instance)
     family = inst.family
-    cap = _cap_of(args)
     policy = SplitPolicy.BALANCED if args.policy == "balanced" else SplitPolicy.DP_OPTIMAL
     if args.algo == "twoline":
-        report = pierce_two_lines(family, cap)
+        report = pierce_two_lines(family, args.cap)
     elif args.algo == "planar":
-        report = pierce_planar(family, policy, cap)
+        report = pierce_planar(family, policy, args.cap)
     else:
-        report = pierce_ddim(family, policy, cap)
+        report = pierce_ddim(family, policy, args.cap)
     _write_text(args.out, report_to_json(report, args.algo, args.policy, inst))
     return EXIT_OK
 
@@ -197,29 +168,21 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    points, embedded, guarantee = parse_points_document(_read_text(args.points))
-    if args.instance is not None:
-        inst = load_instance(args.instance)
-    elif embedded is not None:
-        inst = embedded
-    else:
+    text = _read_text(args.points)
+    inst = load_instance(args.instance) if args.instance is not None else None
+    # the points must match the instance they are checked against
+    points, embedded, guarantee = parse_points_document(
+        text, inst.family.dim if inst is not None else None)
+    inst = inst or embedded
+    if inst is None:
         raise PreconditionError("no instance: pass --instance or verify a pierce report")
     nu = tau = None
     if args.oracles:
-        cap = _cap_of(args)
-        nu = nu_exact(inst.family, cap).nu
-        tau = tau_exact(inst.family, cap).tau
+        nu = nu_exact(inst.family, args.cap).nu
+        tau = tau_exact(inst.family, args.cap).tau
     vr = verify_piercing(inst.family, points, guarantee=guarantee, nu=nu, tau=tau)
     sys.stdout.write(dumps_canonical(verify_to_obj(vr)))
     return EXIT_OK if vr.hits_all else EXIT_PRECONDITION
-
-
-def _cmd_bench(args) -> int:
-    stats = run_bench(trials=args.trials, seed=args.seed, max_boxes=args.boxes,
-                      dim=args.dim, coord_range=tuple(args.range),
-                      cap=_cap_of(args), jobs=args.jobs)
-    _write_text(args.out, dumps_canonical(stats))
-    return EXIT_OK if stats["violations"] == 0 else EXIT_PRECONDITION
 
 
 _HANDLERS = {
@@ -229,7 +192,6 @@ _HANDLERS = {
     "pierce": _cmd_pierce,
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 

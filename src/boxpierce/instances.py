@@ -179,12 +179,14 @@ def points_from_obj(obj: Any, dim: int) -> list[Point]:
     return points
 
 
-def parse_points_document(text: str) -> tuple[list[Point], Instance | None, float | None]:
+def parse_points_document(text: str, dim: int | None = None
+                          ) -> tuple[list[Point], Instance | None, float | None]:
     """Parse a report or bare points document.
 
     Returns (points, embedded instance or None, claimed guarantee or
     None). Accepts the output of `pierce` as well as a plain object with
-    a `points` field.
+    a `points` field. Every point must have `dim` coordinates; without
+    `dim`, that of the embedded instance, else of the first point.
     """
     obj = _loads(text)
     if not isinstance(obj, dict) or "points" not in obj:
@@ -193,9 +195,10 @@ def parse_points_document(text: str) -> tuple[list[Point], Instance | None, floa
     if obj.get("instance") is not None:
         instance = obj_to_instance(obj["instance"])
     guarantee = obj.get("guarantee")
-    if guarantee is not None and not isinstance(guarantee, (int, float)):
+    if guarantee is not None and type(guarantee) not in (int, float):  # bool is not a number here
         raise InstanceFormatError("guarantee: expected a number")
-    dim = instance.family.dim if instance is not None else None
+    if dim is None and instance is not None:
+        dim = instance.family.dim
     raw_points = obj["points"]
     if dim is None:
         if not isinstance(raw_points, list):

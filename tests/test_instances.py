@@ -90,8 +90,9 @@ def _points(doc):
     (_instance, {"dim": 2, "boxes": [[[0, 1], [0, 1]]],
                  "lines": {"axis": 5, "c1": 0, "c2": 2}}, "instance"),
     (_points, {"points": [[2**63]]}, "points[0]"),
+    (_points, {"points": [], "guarantee": True}, "guarantee"),
 ], ids=["coord-2^63", "float-coord", "line-axis-neg", "line-c2-huge", "line-axis-5-dim-2",
-        "point-2^63"])
+        "point-2^63", "guarantee-bool"])
 def test_invalid_field_names_its_location(parse, doc, where):
     with pytest.raises(InstanceFormatError) as info:
         parse(doc)

@@ -9,6 +9,7 @@ from boxpierce import (
     BoxFamily,
     RandomSpec,
     SplitPolicy,
+    TwoLines,
     bound_prop1,
     bound_prop3,
     find_threshold,
@@ -198,7 +199,6 @@ def test_threshold_hi_at_64_bit_extremes():
 # --- two-line sweep ----------------------------------------------------------
 
 def test_two_lines_single_box():
-    from boxpierce import TwoLines
     fam = family([((0, 3), (0, 1))], lines=TwoLines(1, 0, 2))
     rep = pierce_two_lines(fam)
     assert rep.size == 1 and is_sound(fam, rep.points)
@@ -368,6 +368,44 @@ def test_ddim_fuzz_3d_and_4d():
             assert is_sound(fam, rep.points)
             assert rep.size <= rep.guarantee + 1e-9
             assert tau <= rep.size
+
+
+# --- differential: algorithms against the oracles ------------------------------
+
+def two_line_box(x, dx, y, dy, line):
+    """Box [x, x+dx] x [y, y+dy], its axis-1 interval stretched to contain `line`,
+    the way gen_random clamps two-line boxes."""
+    return Box.from_bounds([(x, x + dx), (min(y, line), max(y + dy, line))])
+
+
+# Planar families of up to 10 boxes, each meeting line y = 0 or y = 4.
+two_line_families = st.lists(
+    st.builds(two_line_box, st.integers(-8, 8), st.integers(0, 6), st.integers(-4, 8),
+              st.integers(0, 4), st.sampled_from((0, 4))),
+    max_size=10,
+).map(lambda bs: BoxFamily.of(bs, lines=TwoLines(1, 0, 4), dim=2))
+
+
+def check_against_oracles(fam, reports):
+    tau, nu = tau_exact(fam).tau, nu_exact(fam).nu
+    for rep in reports:
+        assert is_sound(fam, rep.points)
+        assert rep.size <= rep.guarantee
+        assert tau <= rep.size
+        assert rep.nu_used == nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families)
+def test_ddim_differential_against_oracles(fam):
+    # small_families draws d = 1-3: the interval sweep, the planar and the 3-d recursion
+    check_against_oracles(fam, [pierce_ddim(fam, policy) for policy in SplitPolicy])
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_line_families)
+def test_two_lines_differential_against_oracles(fam):
+    check_against_oracles(fam, [pierce_two_lines(fam)])
 
 
 # --- reports and traces --------------------------------------------------------

@@ -223,6 +223,8 @@ def _cells(rule: BoundRule, max_n: int, max_d: int):
             raise ValueError(f"rule {rule.value} needs max_d >= 2, got max_d={max_d}")
         dims = range(2, max_d + 1)
     else:
+        if max_d < 1:
+            raise ValueError(f"rule {rule.value} needs max_d >= 1, got max_d={max_d}")
         dims = range(1, max_d + 1)
     n_lo = 1 if rule in (BoundRule.LEMMA1, BoundRule.HADWIGER2, BoundRule.H) else 0
     for d in dims:

@@ -30,6 +30,8 @@ class CapExceeded(RuntimeError):
 
 
 def check_cap(f: BoxFamily, cap: int) -> None:
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
     if len(f) > cap:
         raise CapExceeded(f"family has {len(f)} boxes, exact-oracle cap is {cap}")
 

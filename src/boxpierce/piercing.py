@@ -101,9 +101,10 @@ class _Tracer:
     def __init__(self):
         self.nodes: list[TraceNode] = []
 
-    def add(self, parent: int | None, **kw) -> int:
+    def add(self, parent: int | None, f: BoxFamily, **kw) -> int:
         node = len(self.nodes)
-        self.nodes.append(TraceNode(node=node, parent=parent, **kw))
+        depth = 0 if parent is None else self.nodes[parent].depth + 1
+        self.nodes.append(TraceNode(node=node, parent=parent, dim=f.dim, depth=depth, **kw))
         return node
 
 
@@ -156,7 +157,7 @@ def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
     rights = sorted({b.sides[axis].hi for b in f.boxes})
 
     def prefix_nu(x: int) -> int:
-        sub = f.replace_boxes((b for b in f.boxes if b.sides[axis].hi <= x), f.lines)
+        sub = f.replace_boxes(b for b in f.boxes if b.sides[axis].hi <= x)
         return nu_exact(sub, len(sub)).nu
 
     if prefix_nu(rights[-1]) <= k:  # the full family: nu(f) <= k
@@ -204,16 +205,6 @@ def find_threshold_hi(f: BoxFamily, axis: int, m: int, cap: int = DEFAULT_CAP) -
 # 1-d sweep
 
 
-def _stab_points_1d(f: BoxFamily) -> list[Point]:
-    order = sorted(range(len(f)), key=lambda i: (f.boxes[i].sides[0].hi, f.boxes[i].sides[0].lo, i))
-    stabs: list[int] = []
-    for i in order:
-        iv = f.boxes[i].sides[0]
-        if not stabs or iv.lo > stabs[-1]:
-            stabs.append(iv.hi)
-    return [Point((s,)) for s in stabs]
-
-
 def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
     """Greedy sweep over intervals: stab the smallest uncovered right endpoint.
 
@@ -222,10 +213,15 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
     """
     if f.dim != 1:
         raise ValueError(f"interval sweep needs a 1-d family, got dimension {f.dim}")
+    order = sorted(range(len(f)), key=lambda i: (f.boxes[i].sides[0].hi, f.boxes[i].sides[0].lo, i))
+    stabs: list[int] = []
+    for i in order:
+        iv = f.boxes[i].sides[0]
+        if not stabs or iv.lo > stabs[-1]:
+            stabs.append(iv.hi)
     tracer = _Tracer()
-    points = _stab_points_1d(f)
-    tracer.add(None, op="sweep-1d", dim=1, bound=len(points), depth=0, sizes=(len(f),))
-    return _report(points, len(points), len(points), tracer)
+    tracer.add(None, f, op="sweep-1d", bound=len(stabs), sizes=(len(f),))
+    return _report([Point((s,)) for s in stabs], len(stabs), len(stabs), tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +235,7 @@ def _line_point(sweep_axis: int, sweep_val: int, line_val: int) -> Point:
     return Point(tuple(coords))
 
 
-def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer,
-                    parent: int | None, depth: int) -> list[Point]:
+def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer, parent: int | None) -> list[Point]:
     """Sweep orthogonally to the certificate lines; bound >= nu(f) is required.
 
     Per round: the strict prefix below the threshold packs at most one
@@ -249,20 +244,18 @@ def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer,
     the suffix lost two disjoint boxes, so its bound drops by 2. Each
     round's threshold is a k == 1 probe, i.e. the Helly test of
     `_threshold_low`, so the sweep itself never calls the exact oracle.
+    Once the bound is at most 1 the remaining boxes pairwise intersect,
+    so the probe finds no threshold and one common point ends the sweep.
     """
     lines = f.lines
     sweep_axis = 1 - lines.axis
     points: list[Point] = []
     remaining, b = f, bound
     while len(remaining):
-        if b > 1:
-            t = _threshold_low(remaining, sweep_axis, 1)
-        else:
-            t = None  # bound <= 1 on a nonempty family: pairwise intersecting
+        t = _threshold_low(remaining, sweep_axis, 1)
         if t is None:
             points.append(common_point(remaining))
-            tracer.add(parent, op="common-point", dim=2, bound=b, depth=depth,
-                       sizes=(len(remaining),))
+            tracer.add(parent, remaining, op="common-point", bound=b, sizes=(len(remaining),))
             break
         minus, zero, plus = split_three(remaining, sweep_axis, t)
         if len(minus):
@@ -270,10 +263,9 @@ def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer,
         points.append(_line_point(sweep_axis, t, lines.c1))
         if lines.c2 != lines.c1:
             points.append(_line_point(sweep_axis, t, lines.c2))
-        parent = tracer.add(parent, op="two-line-step", dim=2, bound=b, depth=depth,
-                            axis=sweep_axis, lo=t,
-                            sizes=(len(minus), len(zero), len(plus)))
-        remaining, b, depth = plus, b - 2, depth + 1
+        parent = tracer.add(parent, remaining, op="two-line-step", bound=b, axis=sweep_axis,
+                            lo=t, sizes=(len(minus), len(zero), len(plus)))
+        remaining, b = plus, b - 2
     return points
 
 
@@ -288,7 +280,7 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
         raise ValueError("family carries no two-line certificate")
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _two_line_sweep(f, root_nu, tracer, None, 0)
+    points = _two_line_sweep(f, root_nu, tracer, None)
     return _report(points, (3 * root_nu) // 2, root_nu, tracer)
 
 
@@ -303,41 +295,33 @@ def _balanced_triple(n: int) -> tuple[int, int, int]:
 
 
 def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
-                tracer: _Tracer, parent: int | None, depth: int) -> list[Point]:
+                tracer: _Tracer, parent: int | None) -> list[Point]:
     if not len(f):
         return []
-    while True:
-        if bound <= 1:
-            tracer.add(parent, op="common-point", dim=2, bound=bound, depth=depth,
-                       sizes=(len(f),))
-            return [common_point(f)]
-        k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
-        a = _threshold_low(f, 0, k)
-        if a is None:  # nu(f) <= k: re-enter with the tight bound
-            bound = k
-            continue
-        b = _threshold_low(_mirror(f, 0), 0, m)
-        if b is None:
-            bound = m
-            continue
-        b = ~b
-        break
-    if a > b:
-        # Both packing prefixes overrun each other; every cut point
-        # between them leaves {r < a} packing <= k and {l > a} packing
-        # <= m, so collapse to the single line x = a (the middle part
-        # is then empty and the crossing boxes form a one-line family).
-        b = a
+    if bound <= 1:
+        tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
+        return [common_point(f)]
+    k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
+    a = _threshold_low(f, 0, k)
+    if a is None:  # nu(f) <= k: re-enter with the tight bound
+        return _planar_rec(f, k, policy, tracer, parent)
+    b = _threshold_low(_mirror(f, 0), 0, m)
+    if b is None:
+        return _planar_rec(f, m, policy, tracer, parent)
+    # If a > ~b, both packing prefixes overrun each other; every cut point
+    # between them leaves {r < a} packing <= k and {l > a} packing
+    # <= m, so collapse to the single line x = a (the middle part
+    # is then empty and the crossing boxes form a one-line family).
+    b = max(a, ~b)
     parts = split_four(f, 0, a, b)
-    node = tracer.add(parent, op="split-four", dim=2, bound=bound, depth=depth,
-                      axis=0, lo=a, hi=b,
+    node = tracer.add(parent, f, op="split-four", bound=bound, axis=0, lo=a, hi=b,
                       sizes=(len(parts.minus), len(parts.plusminus),
                              len(parts.plus), len(parts.zero)))
-    points = _planar_rec(parts.minus, k, policy, tracer, node, depth + 1)
-    points += _planar_rec(parts.plusminus, l, policy, tracer, node, depth + 1)
-    points += _planar_rec(parts.plus, m, policy, tracer, node, depth + 1)
+    points = _planar_rec(parts.minus, k, policy, tracer, node)
+    points += _planar_rec(parts.plusminus, l, policy, tracer, node)
+    points += _planar_rec(parts.plus, m, policy, tracer, node)
     zero = BoxFamily(2, parts.zero.boxes, TwoLines(0, a, b))
-    points += _two_line_sweep(zero, bound, tracer, node, depth + 1)
+    points += _two_line_sweep(zero, bound, tracer, node)
     return points
 
 
@@ -359,35 +343,26 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
 # dimension recursion
 
 
-def _ddim_rec(f: BoxFamily, d: int, bound: int, policy: SplitPolicy,
-              tracer: _Tracer, parent: int | None, depth: int) -> list[Point]:
-    if d == 1:
-        points = _stab_points_1d(f)
-        tracer.add(parent, op="sweep-1d", dim=1, bound=bound, depth=depth, sizes=(len(f),))
-        return points
-    if d == 2:
-        return _planar_rec(f, bound, policy, tracer, parent, depth)
+def _ddim_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
+              tracer: _Tracer, parent: int | None) -> list[Point]:
+    if f.dim == 2:
+        return _planar_rec(f, bound, policy, tracer, parent)
     if not len(f):
         return []
-    while True:
-        if bound <= 1:
-            tracer.add(parent, op="common-point", dim=d, bound=bound, depth=depth,
-                       sizes=(len(f),))
-            return [common_point(f)]
-        k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, d)
-        a = _threshold_low(f, 0, k)
-        if a is None:
-            bound = k
-            continue
-        break
+    if bound <= 1:
+        tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
+        return [common_point(f)]
+    k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, f.dim)
+    a = _threshold_low(f, 0, k)
+    if a is None:  # nu(f) <= k: re-enter with the tight bound
+        return _ddim_rec(f, k, policy, tracer, parent)
     minus, zero, plus = split_three(f, 0, a)
-    node = tracer.add(parent, op="split-three", dim=d, bound=bound, depth=depth,
-                      axis=0, lo=a, sizes=(len(minus), len(zero), len(plus)))
-    points = _ddim_rec(minus, d, k, policy, tracer, node, depth + 1)
-    projected = project_onto_hyperplane(zero, 0, a)
-    inner = _ddim_rec(projected, d - 1, bound, policy, tracer, node, depth + 1)
+    node = tracer.add(parent, f, op="split-three", bound=bound, axis=0, lo=a,
+                      sizes=(len(minus), len(zero), len(plus)))
+    points = _ddim_rec(minus, k, policy, tracer, node)
+    inner = _ddim_rec(project_onto_hyperplane(zero, 0, a), bound, policy, tracer, node)
     points += lift_points(inner, 0, a)
-    points += _ddim_rec(plus, d, bound - k - 1, policy, tracer, node, depth + 1)
+    points += _ddim_rec(plus, bound - k - 1, policy, tracer, node)
     return points
 
 
@@ -395,7 +370,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     """Root of the planar and d-dim recursions (d >= 2): exact nu, then the guarantee it implies."""
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _ddim_rec(f, f.dim, root_nu, policy, tracer, None, 0)
+    points = _ddim_rec(f, root_nu, policy, tracer, None)
     balanced = policy is SplitPolicy.BALANCED
     if root_nu == 0:
         guarantee = 0.0

@@ -238,3 +238,6 @@ def test_csv_real_rule_six_decimals():
 def test_planar_rules_reject_low_max_d():
     with pytest.raises(ValueError):
         build_table(BoundRule.PROP3, 10, 1)
+    for rule, max_n, max_d in ((BoundRule.PROP1, 5, 0), (BoundRule.BEST_KNOWN, 4, -2)):
+        with pytest.raises(ValueError, match="max_d"):
+            build_table(rule, max_n, max_d)

@@ -73,6 +73,12 @@ def test_over_cap_exits_3():
     assert res2.returncode == 3
 
 
+def test_negative_cap_exits_2():
+    res = run("nu", "--cap", "-1", stdin='{"dim": 2, "boxes": []}')
+    assert res.returncode == 2
+    assert "non-negative" in res.stderr
+
+
 def test_bounds_csv_contract():
     res = run("bounds", "prop3", "15", "2")
     assert res.returncode == 0
@@ -86,6 +92,8 @@ def test_bounds_csv_contract():
 def test_bounds_bad_rule_rejected():
     res = run("bounds", "nosuchrule", "5", "2")
     assert res.returncode == 2
+    res = run("bounds", "prop1", "5", "0")
+    assert res.returncode == 2 and res.stdout == ""
 
 
 def test_verify_pipe_and_corruption():

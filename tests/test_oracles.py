@@ -83,6 +83,8 @@ def test_nu_cap_refusal():
         nu_exact(fam)
     with pytest.raises(CapExceeded):
         nu_exact(gen_random(RandomSpec(n_boxes=5, seed=1)), cap=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        nu_exact(gen_random(RandomSpec(n_boxes=5, seed=1)), cap=-1)
 
 
 # --- candidate_grid ----------------------------------------------------------

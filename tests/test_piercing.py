@@ -350,6 +350,30 @@ def test_ddim_dp_guarantee_is_prop1():
     assert is_sound(fam, rep.points)
 
 
+def test_ddim_3d_exact_output():
+    # Covers a projection to the plane, two-line steps below it and a
+    # bound tightening: the dp root's plus part is passed bound 3 and
+    # re-entered at 1, its last node.
+    fam = gen_random(RandomSpec(n_boxes=7, dim=3, coord_range=(0, 12), seed=9))
+    bal = pierce_ddim(fam, SplitPolicy.BALANCED)
+    assert [p.coords for p in bal.points] == [
+        (5, 2, 0), (5, 3, 11), (5, 8, 11), (9, 4, 2), (9, 1, 3), (9, 8, 9)]
+    assert [(t.op, t.parent, t.depth, t.dim, t.bound, t.lo, t.sizes) for t in bal.trace] == [
+        ("split-three", None, 0, 3, 5, 9, (3, 4, 0)), ("split-three", 0, 1, 3, 2, 5, (0, 3, 0)),
+        ("split-four", 1, 2, 2, 2, 3, (0, 0, 0, 3)), ("two-line-step", 2, 3, 2, 2, 11, (1, 2, 0)),
+        ("split-four", 0, 1, 2, 5, 8, (1, 0, 0, 3)), ("common-point", 4, 2, 2, 1, None, (1,)),
+        ("two-line-step", 4, 2, 2, 5, 9, (1, 2, 0))]
+    dp = pierce_ddim(fam, SplitPolicy.DP_OPTIMAL)
+    assert [p.coords for p in dp.points] == [
+        (1, 8, 0), (6, 2, 0), (6, 1, 3), (6, 8, 9), (6, 1, 11), (7, 4, 2)]
+    assert [(t.op, t.parent, t.depth, t.dim, t.bound, t.lo, t.sizes) for t in dp.trace] == [
+        ("split-three", None, 0, 3, 5, 6, (1, 5, 1)), ("common-point", 0, 1, 3, 1, None, (1,)),
+        ("split-four", 0, 1, 2, 5, 8, (1, 0, 0, 4)), ("common-point", 2, 2, 2, 1, None, (1,)),
+        ("two-line-step", 2, 2, 2, 5, 9, (1, 2, 1)), ("common-point", 4, 3, 2, 3, None, (1,)),
+        ("common-point", 0, 1, 3, 1, None, (1,))]
+    assert (bal.nu_used, dp.nu_used, dp.guarantee) == (5, 5, float(bound_prop1(5, 3)))
+
+
 def test_ddim_dispatches_lower_dimensions():
     fam1 = family_1d([(0, 1), (4, 5)])
     assert pierce_ddim(fam1).size == 2
@@ -427,8 +451,10 @@ def test_trace_depth_and_descent():
         by_id = {t.node: t for t in rep.trace}
         for t in rep.trace:
             if t.parent is None:
+                assert t.depth == 0
                 continue
             parent = by_id[t.parent]
+            assert t.depth == parent.depth + 1
             if parent.op == "split-four" and t.op in ("two-line-step", "common-point"):
                 # the middle strip is handed to the sweep at the same bound
                 assert (t.dim, t.bound) <= (parent.dim, parent.bound)

@@ -25,7 +25,7 @@ def _check_coord(value, where: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed integer interval [lo, hi]; lo == hi is a valid degenerate interval."""
 
@@ -45,7 +45,7 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """Point with one integer coordinate per axis."""
 
@@ -63,7 +63,7 @@ class Point:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-parallel closed box: the product of one Interval per axis."""
 
@@ -103,7 +103,7 @@ def intersects(p: Box, q: Box) -> bool:
     return all(a.overlaps(b) for a, b in zip(p.sides, q.sides))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoLines:
     """Two parallel lines orthogonal to `axis`, at coordinates c1 <= c2.
 
@@ -124,7 +124,7 @@ class TwoLines:
             raise ValueError(f"lines out of order: c1={self.c1} > c2={self.c2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxFamily:
     """Finite multiset of same-dimension boxes, optionally with a two-line certificate."""
 
@@ -171,7 +171,7 @@ class BoxFamily:
         return BoxFamily(self.dim, tuple(boxes), lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourWaySplit:
     """Partition of a family at two coordinates a <= b on one axis.
 
@@ -189,8 +189,8 @@ class FourWaySplit:
 
 
 def _check_axis(f: BoxFamily, axis: int) -> None:
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {f.dim}")
+    if type(axis) is not int or not 0 <= axis < f.dim:
+        raise ValueError(f"axis {axis!r} out of range for dimension {f.dim}")
 
 
 def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:

@@ -18,9 +18,11 @@ are refused outright instead of being solved approximately.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import or_
 
-from .geometry import BoxFamily, Point, intersects
+from .geometry import BoxFamily, Point
 
 DEFAULT_CAP = 32
 
@@ -29,9 +31,13 @@ class CapExceeded(RuntimeError):
     """Family is larger than the exact-oracle cap."""
 
 
-def check_cap(f: BoxFamily, cap: int) -> None:
+def check_cap_value(cap: int) -> None:
     if type(cap) is not int or cap < 0:
         raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
+
+
+def check_cap(f: BoxFamily, cap: int) -> None:
+    check_cap_value(cap)
     if len(f) > cap:
         raise CapExceeded(f"family has {len(f)} boxes, exact-oracle cap is {cap}")
 
@@ -53,30 +59,38 @@ class TauResult:
 
 
 def _adjacency(boxes) -> list[int]:
-    """Bitmask per box of the other boxes it intersects."""
+    """Bitmask per box of the other boxes it intersects.
+
+    Closed intervals overlap iff each one's lo is at most the other's hi.
+    Per axis, either condition selects a prefix of the boxes sorted by lo
+    or by hi, found by bisection; a box's mask is the AND of its 2d
+    prefix masks, so no pair of boxes is compared one by one.
+    """
     n = len(boxes)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if intersects(boxes[i], boxes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for ax in range(boxes[0].dim if n else 0):
+        los = [b.sides[ax].lo for b in boxes]
+        his = [b.sides[ax].hi for b in boxes]
+        by_lo = sorted(range(n), key=los.__getitem__)
+        by_hi = sorted(range(n), key=his.__getitem__)
+        lo_upto = list(itertools.accumulate((1 << i for i in by_lo), or_, initial=0))
+        hi_from = list(itertools.accumulate((1 << i for i in reversed(by_hi)), or_, initial=0))
+        sorted_lo, sorted_hi = sorted(los), sorted(his)
+        for i in range(n):  # {lo <= his[i]} & {hi >= los[i]}
+            adj[i] &= (lo_upto[bisect_right(sorted_lo, his[i])]
+                       & hi_from[n - bisect_left(sorted_hi, los[i])])
     return adj
 
 
 def _greedy_disjoint(adj: list[int], avail: int) -> int:
     """Greedily take compatible boxes in index order; returns the chosen mask."""
-    taken = 0
-    blocked = 0
-    m = avail
-    while m:
-        bit = m & -m
-        m &= m - 1
-        if bit & blocked:
-            continue
-        i = bit.bit_length() - 1
-        taken |= bit
-        blocked |= adj[i] | bit
+    taken = blocked = 0
+    while avail:
+        bit = avail & -avail
+        avail ^= bit
+        if not bit & blocked:
+            taken |= bit
+            blocked |= adj[bit.bit_length() - 1]
     return taken
 
 
@@ -104,26 +118,78 @@ def _max_disjoint(adj: list[int], avail: int) -> int:
     first, so leaves come in decreasing lexicographic order and the first
     one of maximum size is kept. The greedy seed (the lexicographically
     greatest maximal set) only prunes; it is the answer only when it is
-    already maximum.
+    already maximum. The search runs on an explicit stack, so a deep
+    component needs no Python recursion.
     """
     best = _greedy_disjoint(adj, avail)
     best_size = best.bit_count()
-
-    def rec(avail: int, chosen: int, size: int) -> None:
-        nonlocal best, best_size
-        if size + avail.bit_count() <= best_size:
-            return
-        if not avail:
-            if size > best_size:
-                best, best_size = chosen, size
-            return
-        bit = avail & -avail
-        i = bit.bit_length() - 1
-        rec(avail & ~adj[i] & ~bit, chosen | bit, size + 1)
-        rec(avail & ~bit, chosen, size)
-
-    rec(avail, 0, 0)
+    stack = [(avail, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        avail, chosen, size = pop()
+        count = avail.bit_count()
+        if size + count <= best_size:
+            continue
+        while avail:  # follow include branches, leaving each exclude branch on the stack
+            bit = avail & -avail
+            avail ^= bit
+            if size + count - 1 > best_size:  # else it is pruned when popped: best only grows
+                push((avail, chosen, size))
+            avail &= ~adj[bit.bit_length() - 1]
+            chosen |= bit
+            size += 1
+            count = avail.bit_count()
+            if size + count <= best_size:
+                break
+        else:
+            best, best_size = chosen, size
     return best
+
+
+def _packs(adj: list[int], order: list[int], t: int) -> bool:
+    """Whether the boxes listed in `order` hold t >= 1 pairwise-disjoint ones.
+
+    Yes if a greedy pass in `order` takes t (probes list by right
+    endpoint, which makes it strong; any order is exact). Otherwise
+    partition them into cliques: walking `order`, each part starts at
+    the first box not yet placed and takes every later one meeting all
+    its members. A disjoint set takes at most one box per part, so fewer
+    than t parts mean no, and `size` plus the parts still meeting the
+    available boxes bounds a search that takes one box of the next such
+    part, or none.
+    """
+    taken = blocked = 0
+    for i in order:
+        if not blocked >> i & 1:
+            taken += 1
+            blocked |= adj[i]
+    if taken >= t:
+        return True
+    parts = []
+    rest = avail = sum(1 << i for i in order)
+    for pos, i in enumerate(order):
+        if rest >> i & 1:
+            inside, common = [i], adj[i] & rest
+            for j in order[pos + 1:]:
+                if common >> j & 1:
+                    inside.append(j)
+                    common &= adj[j]
+            part = sum(1 << j for j in inside)
+            rest &= ~part
+            parts.append((part, inside))
+    stack = [(avail, 0)]
+    while stack:
+        avail, size = stack.pop()
+        live = [p for p in parts if p[0] & avail]
+        if size + len(live) >= t:
+            part, inside = live[0]
+            stack.append((avail & ~part, size))
+            for i in reversed(inside):
+                if avail >> i & 1:
+                    if size + 1 >= t:
+                        return True
+                    stack.append((avail & ~adj[i] & ~part, size + 1))
+    return False
 
 
 def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:

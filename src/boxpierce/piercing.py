@@ -20,17 +20,18 @@ every input box and whose size never exceeds the reported guarantee:
                        bound_lemma1(nu, d) (balanced) or
                        bound_prop1(nu, d) (DP-optimal).
 
-The exact packing number is computed once at the root (and inside
-threshold searches for k >= 2); recursive calls receive the upper
-bounds the split inequalities guarantee instead of re-solving
-subfamilies. Thresholds realize the continuous cut positions
-discretely: the left threshold is the smallest right endpoint at which
-the prefix first packs k+1 pairwise-disjoint boxes, which keeps every
-inequality exact. The right threshold is the left one of the family
-mirrored on the axis. Probes with k <= 1 on either side need no search:
-"packs 1" means "non-empty", and "packs 2" means "not pairwise
-intersecting", a Helly test (max lo > min hi on some axis); this covers
-every round of the two-line sweep. Split sizes under the DP-optimal
+The exact packing number is computed once, at the root; recursive
+calls receive the upper bounds the split inequalities guarantee instead
+of re-solving subfamilies. Thresholds realize the continuous cut
+positions discretely: the left threshold is the smallest right endpoint
+at which the prefix first packs k+1 pairwise-disjoint boxes, which
+keeps every inequality exact. The right threshold is the left one of
+the family mirrored on the axis. Probes with k <= 1 on either side need
+no search: "packs 1" means "non-empty", and "packs 2" means "not
+pairwise intersecting", a Helly test (max lo > min hi on some axis);
+this covers every round of the two-line sweep. Probes with k >= 2 ask
+only "packs k+1?", which a greedy pass or a clique-cover bound mostly
+answers without the exact oracle. Split sizes under the DP-optimal
 policy come from the same tables that certify the guarantee
 (`split_prop3`, `split_prop1`). All tie-breaking is fixed (lowest axis,
 smallest coordinate, lowest box index), so runs are deterministic.
@@ -38,6 +39,7 @@ smallest coordinate, lowest box index), so runs are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,12 +50,14 @@ from .geometry import (
     Interval,
     Point,
     TwoLines,
+    _check_axis,
     lift_points,
     project_onto_hyperplane,
     split_four,
     split_three,
 )
-from .oracles import DEFAULT_CAP, check_cap, common_point, nu_exact
+from .oracles import (DEFAULT_CAP, _adjacency, _packs, check_cap, check_cap_value, common_point,
+                      nu_exact)
 
 
 class SplitPolicy(str, Enum):
@@ -136,8 +140,8 @@ def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
     right-endpoint order, keeping those running extremes, returns the
     first right endpoint at which that happens.
 
-    Callers pass parts of a root family that passed the cap check, so a
-    k >= 2 probe takes its own size as the cap.
+    For k >= 2 the adjacency is built once per search, and each probe
+    asks `_packs` whether a prefix of the right-endpoint order packs k+1.
     """
     if not len(f):
         return None
@@ -154,18 +158,21 @@ def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
                 if max_lo[ax] > min_hi[ax]:
                     return b.sides[axis].hi
         return None
-    rights = sorted({b.sides[axis].hi for b in f.boxes})
+    boxes = f.boxes
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].sides[axis].hi)
+    his = [boxes[i].sides[axis].hi for i in order]
+    rights = sorted(set(his))
+    adj = _adjacency(boxes)
 
-    def prefix_nu(x: int) -> int:
-        sub = f.replace_boxes(b for b in f.boxes if b.sides[axis].hi <= x)
-        return nu_exact(sub, len(sub)).nu
+    def packs(x: int) -> bool:  # does the prefix {r <= x} pack k+1?
+        return _packs(adj, order[:bisect_right(his, x)], k + 1)
 
-    if prefix_nu(rights[-1]) <= k:  # the full family: nu(f) <= k
+    if not packs(rights[-1]):  # the full family: nu(f) <= k
         return None
     lo, hi = 0, len(rights) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if prefix_nu(rights[mid]) >= k + 1:
+        if packs(rights[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -189,6 +196,9 @@ def _mirror(f: BoxFamily, axis: int) -> BoxFamily:
 
 def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Public threshold search; raises if the packing number is <= k."""
+    _check_axis(f, axis)
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     check_cap(f, cap)
     a = _threshold_low(f, axis, k)
     if a is None:
@@ -198,6 +208,7 @@ def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> i
 
 def find_threshold_hi(f: BoxFamily, axis: int, m: int, cap: int = DEFAULT_CAP) -> int:
     """Largest left endpoint b with nu({l >= b}) >= m+1; raises if the packing number is <= m."""
+    _check_axis(f, axis)  # before mirroring; find_threshold checks m
     return ~find_threshold(_mirror(f, axis), axis, m, cap)
 
 
@@ -392,5 +403,6 @@ def pierce_ddim(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
     and lifting the resulting points back.
     """
     if f.dim == 1:
+        check_cap_value(cap)  # the sweep runs no oracle, but the cap's value rule holds
         return pierce_intervals_1d(f)
     return _pierce(f, policy, cap)

@@ -23,16 +23,20 @@ def family_1d(pairs, lines=None) -> BoxFamily:
     return family([(p,) for p in pairs], lines=lines, dim=1)
 
 
-# Families of up to 10 boxes in 1-3 dimensions, dense enough that most
-# intersect and small enough for the brute-force references.
-small_families = st.integers(1, 3).flatmap(
-    lambda d: st.lists(
-        st.tuples(*[
-            st.tuples(st.integers(-8, 8), st.integers(0, 6)) for _ in range(d)
-        ]).map(lambda sides: Box.from_bounds([(lo, lo + w) for lo, w in sides])),
-        max_size=10,
-    ).map(lambda bs: BoxFamily.of(bs, dim=d))
-)
+def families(max_size: int):
+    """Families of up to `max_size` boxes in 1-3 dimensions, dense enough that most intersect."""
+    return st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[
+                st.tuples(st.integers(-8, 8), st.integers(0, 6)) for _ in range(d)
+            ]).map(lambda sides: Box.from_bounds([(lo, lo + w) for lo, w in sides])),
+            max_size=max_size,
+        ).map(lambda bs: BoxFamily.of(bs, dim=d))
+    )
+
+
+# Small enough for the brute-force references.
+small_families = families(10)
 
 
 def brute_force_nu_witness(f: BoxFamily) -> tuple[int, ...]:

@@ -79,6 +79,13 @@ def test_negative_cap_exits_2():
     assert "non-negative" in res.stderr
 
 
+def test_negative_cap_exits_2_in_one_dimension():
+    inst = run("gen", "random", "--boxes", "3", "--dim", "1").stdout
+    res = run("pierce", "--algo", "ddim", "--cap", "-1", stdin=inst)
+    assert res.returncode == 2
+    assert "non-negative" in res.stderr
+
+
 def test_bounds_csv_contract():
     res = run("bounds", "prop3", "15", "2")
     assert res.returncode == 0

@@ -20,6 +20,7 @@ from boxpierce import (
     nu_exact,
     tau_exact,
 )
+from boxpierce.oracles import _adjacency
 
 from _helpers import (
     brute_force_nu,
@@ -75,6 +76,22 @@ def test_nu_extremal_splits_into_components():
     # 40 disjoint gadgets, 100 boxes: one search over the whole family
     # would be exponential in the number of gadgets
     assert nu_exact(gen_extremal_two_line(40), cap=100).nu == 40
+
+
+def test_nu_deep_component_needs_no_recursion():
+    # one box meets 2,999 pairwise-disjoint ones: the search descends
+    # 2,999 levels, far past Python's recursion limit
+    boxes = [((0, 3 * 2999),)] + [((3 * i, 3 * i + 1),) for i in range(2999)]
+    assert nu_exact(family(boxes), cap=3000).nu == 2999
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families)
+def test_adjacency_matches_pairwise_intersection(fam):
+    boxes = fam.boxes
+    expected = [sum(1 << j for j in range(len(boxes)) if j != i and intersects(boxes[i], boxes[j]))
+                for i in range(len(boxes))]
+    assert _adjacency(boxes) == expected
 
 
 def test_nu_cap_refusal():

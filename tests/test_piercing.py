@@ -26,9 +26,10 @@ from boxpierce import (
     tau_exact,
 )
 from boxpierce import piercing
+from boxpierce.oracles import _adjacency, _packs
 from boxpierce.piercing import _threshold_low
 
-from _helpers import family, family_1d, is_sound, small_families
+from _helpers import families, family, family_1d, is_sound, small_families
 
 
 # --- 1-d sweep ---------------------------------------------------------------
@@ -174,6 +175,84 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
             for k in (0, 1):
                 assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
                 assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(14), st.integers(0, 2), st.integers(0, 4))
+def test_threshold_probes_match_nu_search_up_to_k4(fam, axis, k):
+    axis %= fam.dim
+    assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(14), st.integers(0, 2), st.integers(0, 13))
+def test_packs_decides_prefix_packing(fam, axis, cut):
+    # the prefix {r <= x} at the cut-th smallest right endpoint, as a probe sees it
+    axis %= fam.dim
+    order = sorted(range(len(fam)), key=lambda i: fam.boxes[i].sides[axis].hi)
+    x = fam.boxes[order[cut % len(order)]].sides[axis].hi if order else 0
+    prefix = [i for i in order if fam.boxes[i].sides[axis].hi <= x]
+    nu = nu_exact(fam.replace_boxes(fam.boxes[i] for i in prefix)).nu
+    adj = _adjacency(fam.boxes)
+    for t in range(1, len(prefix) + 2):
+        assert _packs(adj, prefix, t) == (nu >= t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(14), st.data())
+def test_packs_is_exact_in_any_order(fam, data):
+    # a poor order weakens the greedy pass, so the clique bound and the search decide more
+    order = data.draw(st.permutations(range(len(fam))))
+    order = order[:data.draw(st.integers(0, len(order)))]
+    nu = nu_exact(fam.replace_boxes(fam.boxes[i] for i in sorted(order))).nu
+    adj = _adjacency(fam.boxes)
+    for t in range(1, len(order) + 2):
+        assert _packs(adj, order, t) == (nu >= t)
+
+
+def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
+    real = piercing.nu_exact
+    allowed = [0]
+
+    def root_only(f, cap):
+        if not allowed[0]:
+            raise AssertionError("nu_exact called past the root")
+        allowed[0] -= 1
+        return real(f, cap)
+
+    monkeypatch.setattr(piercing, "nu_exact", root_only)
+    for seed in range(30):
+        fam = gen_random(RandomSpec(n_boxes=8 + seed % 13, dim=2 + seed % 2,
+                                    coord_range=(0, 60), seed=1300 + seed))
+        for axis in range(fam.dim):
+            for k in (2, 3, 4):
+                assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+                assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+        for policy in SplitPolicy:
+            for pierce in (pierce_planar, pierce_ddim) if fam.dim == 2 else (pierce_ddim,):
+                allowed[0] = 1
+                rep = pierce(fam, policy)
+                assert allowed[0] == 0 and is_sound(fam, rep.points)
+                assert rep.size <= rep.guarantee
+
+
+def test_threshold_rejects_bad_axis_and_k():
+    fam = gen_random(RandomSpec(6, 2, (0, 20), seed=3))
+    for search in (find_threshold, find_threshold_hi):
+        for axis in (5, 2, -1, True, 0.0):
+            with pytest.raises(ValueError, match="axis"):
+                search(fam, axis, 0)
+        for k in (-1, True, 1.0, None):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                search(fam, 0, k)
+
+
+def test_ddim_checks_cap_value_in_one_dimension():
+    fam = family_1d([(0, 1), (2, 3)])
+    for cap in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="non-negative"):
+            pierce_ddim(fam, cap=cap)
+    assert pierce_ddim(fam, cap=0).size == 2  # the sweep itself is not capped
 
 
 LO64, HI64 = -2**63, 2**63 - 1

@@ -6,6 +6,10 @@ commands compose in pipes (`boxpierce gen gadget | boxpierce pierce
 contract: 0 success, 1 I/O or parse failure, 2 precondition violated,
 3 exact-oracle cap exceeded. Human-readable diagnostics go to stderr
 and may change between versions.
+
+Each handler imports the modules that only it uses, so a process loads
+just what its subcommand runs: `verify` never loads the generators, the
+bound tables or the piercing algorithms.
 """
 
 from __future__ import annotations
@@ -13,16 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import BoundRule, build_table, table_to_csv
-from .generators import (
-    EXTREMAL_TAG,
-    GADGET_TAG,
-    RandomSpec,
-    gen_extremal_two_line,
-    gen_gadget,
-    gen_random,
-    random_meta,
-)
 from .instances import (
     Instance,
     InstanceFormatError,
@@ -37,7 +31,6 @@ from .instances import (
     write_instance,
 )
 from .oracles import DEFAULT_CAP, CapExceeded, nu_exact, tau_exact
-from .piercing import SplitPolicy, pierce_ddim, pierce_planar, pierce_two_lines
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -47,6 +40,17 @@ EXIT_CAP = 3
 
 class PreconditionError(ValueError):
     """Inputs are well-formed but incompatible with the requested command."""
+
+
+class _RuleNames:
+    """The `bounds.BoundRule` values, read only when argparse checks or prints them."""
+
+    def __iter__(self):
+        from .bounds import BoundRule
+        return (rule.value for rule in BoundRule)
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
 
 
 def _add_cap_flag(parser: argparse.ArgumentParser) -> None:
@@ -95,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_cap_flag(p_pierce)
 
     p_bounds = sub.add_parser("bounds", help="emit a bound-rule table as CSV")
-    p_bounds.add_argument("rule", choices=[r.value for r in BoundRule])
+    # a metavar keeps argparse from listing the choices while it builds the parser
+    p_bounds.add_argument("rule", choices=_RuleNames(), metavar="rule",
+                          help="one of %(choices)s")
     p_bounds.add_argument("max_n", type=int)
     p_bounds.add_argument("max_d", type=int, nargs="?", default=2)
     p_bounds.add_argument("--out", default="-")
@@ -113,6 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import (EXTREMAL_TAG, GADGET_TAG, RandomSpec, gen_extremal_two_line,
+                             gen_gadget, gen_random, random_meta)
     if args.kind == "gadget":
         inst = Instance(gen_gadget(), {"generator": GADGET_TAG,
                                        "description": "5-box two-line family, nu=2 tau=3"})
@@ -148,6 +156,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_pierce(args) -> int:
+    from .piercing import SplitPolicy, pierce_ddim, pierce_planar, pierce_two_lines
     inst = load_instance(args.instance)
     family = inst.family
     policy = SplitPolicy.BALANCED if args.policy == "balanced" else SplitPolicy.DP_OPTIMAL
@@ -162,6 +171,7 @@ def _cmd_pierce(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BoundRule, build_table, table_to_csv
     table = build_table(BoundRule(args.rule), args.max_n, args.max_d)
     _write_text(args.out, table_to_csv(table))
     return EXIT_OK

@@ -173,3 +173,35 @@ def test_cli_import_leaves_process_pool_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+_LOADED = ("; import json, sys; "
+           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('boxpierce'))))")
+
+
+def _loaded_by(code: str, stdin=None) -> list[str]:
+    res = subprocess.run([sys.executable, "-c", code + _LOADED], input=stdin,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    assert _loaded_by("import boxpierce") == ["boxpierce"]
+    report = run("pierce", "--algo", "ddim",
+                 stdin=run("gen", "random", "--boxes", "30", "--dim", "1").stdout).stdout
+    run_cli = "from boxpierce.cli import main; main({!r})"
+    verify = _loaded_by(run_cli.format(["verify"]), stdin=report)
+    assert not {"boxpierce.piercing", "boxpierce.generators", "boxpierce.bounds"} & set(verify)
+    gen = _loaded_by(run_cli.format(["gen", "gadget"]))
+    assert "boxpierce.generators" in gen
+    assert not {"boxpierce.piercing", "boxpierce.bounds"} & set(gen)
+
+
+def test_lazy_package_resolves_every_export():
+    code = ("import boxpierce; from boxpierce import *; "
+            "missing = [n for n in boxpierce.__all__ if n not in globals()]; "
+            "assert not missing, missing; "
+            "assert boxpierce.piercing.pierce_planar is boxpierce.pierce_planar")
+    assert _loaded_by(code) == ["boxpierce"] + [f"boxpierce.{m}" for m in (
+        "bounds", "generators", "geometry", "instances", "oracles", "piercing")]

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxpierce import (
+    Box,
+    BoxFamily,
     Instance,
     InstanceFormatError,
+    Point,
     gen_extremal_two_line,
     gen_gadget,
     instance_from_json,
@@ -20,6 +23,8 @@ from boxpierce import (
     write_instance,
 )
 from boxpierce.instances import parse_points_document, report_to_json
+
+from _helpers import families, unsound_indices
 
 
 def test_family_round_trip_equality():
@@ -85,14 +90,16 @@ def _points(doc):
 @pytest.mark.parametrize("parse, doc, where", [
     (_instance, {"dim": 1, "boxes": [[[0, 2**63]]]}, "boxes[0][0]"),
     (_instance, {"dim": 1, "boxes": [[[0, 1.5]]]}, "boxes[0][0]"),
+    (_instance, {"dim": 2, "boxes": [[[0, 1], [0, 1]], [[0, 1], [3, 2]]]}, "boxes[1][1]"),
     (_instance, {"dim": 2, "boxes": [], "lines": {"axis": -1, "c1": 0, "c2": 2}}, "lines"),
     (_instance, {"dim": 2, "boxes": [], "lines": {"axis": 1, "c1": 0, "c2": 10**20}}, "lines"),
     (_instance, {"dim": 2, "boxes": [[[0, 1], [0, 1]]],
                  "lines": {"axis": 5, "c1": 0, "c2": 2}}, "instance"),
     (_points, {"points": [[2**63]]}, "points[0]"),
+    (_points, {"points": [[0], [0.5]]}, "points[1]"),
     (_points, {"points": [], "guarantee": True}, "guarantee"),
-], ids=["coord-2^63", "float-coord", "line-axis-neg", "line-c2-huge", "line-axis-5-dim-2",
-        "point-2^63", "guarantee-bool"])
+], ids=["coord-2^63", "float-coord", "reversed-second-box", "line-axis-neg", "line-c2-huge",
+        "line-axis-5-dim-2", "point-2^63", "float-second-point", "guarantee-bool"])
 def test_invalid_field_names_its_location(parse, doc, where):
     with pytest.raises(InstanceFormatError) as info:
         parse(doc)
@@ -157,3 +164,32 @@ def test_parse_bare_points_document():
     points, inst, guarantee = parse_points_document('{"points": [[1, 2], [3, 4]]}')
     assert inst is None and guarantee is None
     assert [p.coords for p in points] == [(1, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (5,)], [(5,), (0, 0)]], ids=["hit-first", "bad-first"])
+def test_verify_checks_every_point_dimension_in_any_order(points):
+    unit = BoxFamily.of([Box.from_bounds([(0, 1), (0, 1)])])
+    with pytest.raises(ValueError, match=r"family is 2-d, point \d is 1-d"):
+        verify_piercing(unit, [Point(c) for c in points])
+
+
+def _on_faces_and_around(box: Box):
+    """Corners, face points and near misses of one box."""
+    return st.tuples(*[st.sampled_from((iv.lo - 1, iv.lo, iv.hi, iv.hi + 1)) for iv in box.sides])
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(12), st.data())
+def test_verify_matches_brute_force_containment(f, data):
+    coord = st.integers(-10, 16)
+    anywhere = st.tuples(*[coord] * f.dim)
+    near = st.sampled_from(f.boxes).flatmap(_on_faces_and_around) if f.boxes else anywhere
+    coords = data.draw(st.lists(near | anywhere, max_size=8))
+    if coords:  # duplicates
+        coords += data.draw(st.lists(st.sampled_from(coords), max_size=3))
+    points = [Point(c) for c in data.draw(st.permutations(coords))]
+    vr = verify_piercing(f, points)
+    expected = tuple(unsound_indices(f, points))
+    assert vr.violations == expected
+    assert vr.hits_all == (not expected)
+    assert vr.size == len(points)

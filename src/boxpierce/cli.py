@@ -178,6 +178,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.points == "-" and args.instance == "-":
+        raise PreconditionError("stdin can feed only one of POINTS and --instance")
     text = _read_text(args.points)
     inst = load_instance(args.instance) if args.instance is not None else None
     # the points must match the instance they are checked against

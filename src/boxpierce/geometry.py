@@ -33,10 +33,12 @@ class Interval:
     hi: int
 
     def __post_init__(self):
-        _check_coord(self.lo, "interval lo")
-        _check_coord(self.hi, "interval hi")
-        if self.lo > self.hi:
-            raise ValueError(f"interval has lo > hi: [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND:
+            return
+        _check_coord(lo, "interval lo")
+        _check_coord(hi, "interval hi")
+        raise ValueError(f"interval has lo > hi: [{lo}, {hi}]")
 
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi

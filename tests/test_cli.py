@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, pipes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -145,6 +146,30 @@ def test_malformed_json_exits_1():
     assert res.returncode == 1
 
 
+_UNDECODABLE = b'{"dim": 1, "boxes": [[[0, 2]]], "meta": {"x": "\xff"}}'
+
+
+def test_undecodable_file_exits_1(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_UNDECODABLE)
+    res = run("nu", str(path))
+    assert res.returncode == 1
+    assert "byte 47" in res.stderr
+
+
+def test_undecodable_stdin_exits_1():
+    res = subprocess.run(CMD + ["pierce", "--algo", "ddim"], input=_UNDECODABLE,
+                         capture_output=True)
+    assert res.returncode == 1 and res.stdout == b""
+    assert b"byte 47" in res.stderr
+
+
+def test_verify_refuses_stdin_for_both_points_and_instance():
+    res = run("verify", "--instance", "-", stdin=run("gen", "gadget").stdout)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "stdin" in res.stderr
+
+
 def test_out_of_range_coordinate_exits_1_with_location():
     res = run("nu", stdin=json.dumps({"dim": 1, "boxes": [[[0, 2**63]]]}))
     assert res.returncode == 1
@@ -205,3 +230,69 @@ def test_lazy_package_resolves_every_export():
             "assert boxpierce.piercing.pierce_planar is boxpierce.pierce_planar")
     assert _loaded_by(code) == ["boxpierce"] + [f"boxpierce.{m}" for m in (
         "bounds", "generators", "geometry", "instances", "oracles", "piercing")]
+
+
+_GENS = {"gadget": ("gen", "gadget"), "extremal7": ("gen", "extremal", "7"),
+         "random40": ("gen", "random", "--boxes", "40", "--dim", "3", "--seed", "5")}
+_PIERCE = [("--algo", "twoline"), ("--algo", "planar"), ("--algo", "planar", "--policy", "dp"),
+           ("--algo", "ddim"), ("--algo", "ddim", "--policy", "dp")]
+# exit code and sha256 of stdout per invocation; "a | b" pipes a's stdout into b
+_PINNED_STDOUT = {
+    'gen gadget': (0, "a6233fe3d75aef723ba4e19a5ed45fa34830bef0353fda9d02833888ace5476f"),
+    'gadget | nu': (0, "1403f9d8b8ee15136e5e6af30d0e00e2c303541a25a48a9911492160023c89a4"),
+    'gadget | tau': (0, "188978b7340b36e012032f05c69dcf19a4c79b908aa897b807d50d2c4d4a19fe"),
+    'gadget | pierce --algo twoline': (0, "3ad2b157e3cd15fc6c35f4037ed92e517ae217005dac2d03699678d0eda4413e"),
+    'gadget | pierce --algo twoline | verify': (0, "d19b123ed37e087db30a490916678ccbf7320d52969a17770a80e790e48ea0d9"),
+    'gadget | pierce --algo planar': (0, "b555cc6e82a22614dce746ae48bd2c4174f0aa0df2f00b70920318625f1fb1fc"),
+    'gadget | pierce --algo planar | verify': (0, "24e6a5c7e61b18c8855376993bc776267d87e6686175adf46ba19ab153549271"),
+    'gadget | pierce --algo planar --policy dp': (0, "5c5108e393a10a4acd6c5d0b0c7364579d758ff622e8f466d47f2a707a03f661"),
+    'gadget | pierce --algo planar --policy dp | verify': (0, "d19b123ed37e087db30a490916678ccbf7320d52969a17770a80e790e48ea0d9"),
+    'gadget | pierce --algo ddim': (0, "16dd2db5163e4f0d72c9182a95c6defc6829aea628479ab18bfd81f7bd7ba36f"),
+    'gadget | pierce --algo ddim | verify': (0, "24e6a5c7e61b18c8855376993bc776267d87e6686175adf46ba19ab153549271"),
+    'gadget | pierce --algo ddim --policy dp': (0, "c60c35341f49fc11acee885a62a692a4d30a4ae4f05c978ee8ded604566b55ee"),
+    'gadget | pierce --algo ddim --policy dp | verify': (0, "d19b123ed37e087db30a490916678ccbf7320d52969a17770a80e790e48ea0d9"),
+    'gen extremal 7': (0, "7d19bf280f57b0500065e4ea8c320319f71a3ef8284e33d0f17bc7091345880f"),
+    'extremal7 | nu': (0, "abb6bb16a510ba4554b87c6ee1c0c755566a6944df39f1b14c65aaccbdff83cc"),
+    'extremal7 | tau': (0, "217a238ed80c33906b2daba19b41fbbb39ed6e55642174e6ba3b4612960b49fc"),
+    'extremal7 | pierce --algo twoline': (0, "5ae00e6725acc659d1a53e46e86133f7eb30f2d826861dad826c1ef5b7de0eb2"),
+    'extremal7 | pierce --algo twoline | verify': (0, "87c4c96464306409d0ec99cc6b7091e2e9e27748645200cc189dd35bcc72ccf8"),
+    'extremal7 | pierce --algo planar': (0, "51fbec923b743c29b1569438dc6a7681dcf3101cf830d0c0bad3809faa61db2b"),
+    'extremal7 | pierce --algo planar | verify': (0, "4268834543784263d9c08c90a0e3db0a7dc37cacfd5a4749a38681cd0805f8c2"),
+    'extremal7 | pierce --algo planar --policy dp': (0, "cdec4d650f5f92e9d16f006fa390acc16cda59dbf0ed79709490bff6037d4098"),
+    'extremal7 | pierce --algo planar --policy dp | verify': (0, "5db33919a0ee76490ad5f9a463cfded835ec21843b93dc0a90e8d5fe3aaa144a"),
+    'extremal7 | pierce --algo ddim': (0, "b080b84c525e705175afa4521f9d19c2f0085a43b3c1ccf4001e702af5ddce6e"),
+    'extremal7 | pierce --algo ddim | verify': (0, "4268834543784263d9c08c90a0e3db0a7dc37cacfd5a4749a38681cd0805f8c2"),
+    'extremal7 | pierce --algo ddim --policy dp': (0, "74343e8519e1ce1f87c80be105f330fe45b44f51680f9c245ee766fb57cd33e3"),
+    'extremal7 | pierce --algo ddim --policy dp | verify': (0, "5db33919a0ee76490ad5f9a463cfded835ec21843b93dc0a90e8d5fe3aaa144a"),
+    'gen random --boxes 40 --dim 3 --seed 5': (0, "f8e1cafbbe33d3c51f83bcd565a9260bc8bfa5a90c6803ad647f5fbebdbc0916"),
+    'random40 | nu': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | tau': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | nu --cap 64': (0, "add7ccd5b93e0f949de35eef386ed490e15384669e1d1f659fb4f223cc3fae40"),
+    'random40 | pierce --algo twoline': (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | pierce --algo planar': (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | pierce --algo planar --policy dp': (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | pierce --algo ddim': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | pierce --algo ddim --policy dp': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'random40 | pierce --algo ddim --cap 64': (0, "86bc60417c83dc5c5cd66e5046e6bac5d8c794228206e08c622bb52b20c7caca"),
+    'random40 | pierce --algo ddim --cap 64 | verify': (0, "23f97475c554fbfbc2a4451639edb5c8bbac30cb8b8ddc2c30176761c8bfd3cf"),
+}
+
+
+def test_stdout_bytes_are_pinned():
+    def record(key, args, stdin=None):
+        res = subprocess.run(CMD + list(args), input=stdin, capture_output=True)
+        got[key] = (res.returncode, hashlib.sha256(res.stdout).hexdigest())
+        return res
+
+    got = {}
+    for name, gen in _GENS.items():
+        inst = record(" ".join(gen), gen).stdout
+        cases = [("nu",), ("tau",)] + [("pierce",) + p for p in _PIERCE]
+        if name == "random40":  # over the default cap of 32 boxes
+            cases += [("nu", "--cap", "64"), ("pierce", "--algo", "ddim", "--cap", "64")]
+        for args in cases:
+            key = f"{name} | {' '.join(args)}"
+            res = record(key, args, inst)
+            if args[0] == "pierce" and res.returncode == 0:
+                record(f"{key} | verify", ("verify",), res.stdout)
+    assert got == _PINNED_STDOUT

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxpierce import (
@@ -22,7 +22,7 @@ from boxpierce import (
     verify_piercing,
     write_instance,
 )
-from boxpierce.instances import parse_points_document, report_to_json
+from boxpierce.instances import dumps_canonical, parse_points_document, report_to_json
 
 from _helpers import families, unsound_indices
 
@@ -128,6 +128,56 @@ def test_canonical_output_is_key_sorted():
     keys = [line.split('"')[1] for line in text.splitlines()
             if line.startswith('  "')]
     assert keys == sorted(keys)
+
+
+_scalars = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.none(),
+                     st.text(alphabet='0123456789-[]{},:%s"\\\n é', max_size=6))
+_shapes = st.recursive(st.just(0), lambda s: st.lists(s, max_size=3), max_leaves=6)
+
+
+def _filled(shape):
+    """Integer arrays of `shape` (0 is a leaf, a list nests)."""
+    if shape == 0:
+        return st.integers(-2**70, 2**70)
+    return st.tuples(*map(_filled, shape)).map(list)
+
+
+@st.composite
+def _int_rows(draw):
+    """A list (or tuple) of integer arrays of one shape, sometimes with one odd item."""
+    rows = draw(st.lists(_filled(draw(_shapes)), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        odd = draw(st.one_of(_scalars, _shapes.flatmap(_filled)))
+        rows[draw(st.integers(0, len(rows) - 1))] = odd
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+_str_keys = st.text(alphabet='0123456789ab[]"%s', max_size=4)
+_documents = st.recursive(
+    _scalars | _int_rows(),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_str_keys, inner, max_size=4)
+                   | st.dictionaries(_str_keys | st.integers(-2, 2) | st.booleans(), inner,
+                                     max_size=3)),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+@example([[], [5]])  # with the integers deleted, [] and [5] would read alike
+@example([[5], []])
+@example({"boxes": [[[0, 1], [2, True]]], "points": [[1], [1.0]], "w": [2**64, -2**64]})
+@example(["%s", "%s"])
+@example([[[]], [[]]])
+@example(((1, 2), (3, 4)))
+def test_dumps_canonical_is_json_dumps_byte_for_byte(obj):
+    try:
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dumps_canonical(obj)
+        return
+    assert dumps_canonical(obj) == expected
 
 
 # --- reports and verification --------------------------------------------------

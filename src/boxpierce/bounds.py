@@ -33,8 +33,8 @@ The prop3 and prop1 tables also store the split that attains each value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 _LN9 = math.log(9.0)
 
@@ -203,8 +203,7 @@ def bound_best_known(n: int, d: int) -> int:
     return _pairwise_cell(_best, d, n, lambda m: bound_best_known(m, d - 1))[0]
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     """Evaluated cells of one rule: values maps (n, d) to an int or float."""
 
     rule: BoundRule

@@ -15,9 +15,8 @@ only when the tag matches.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .geometry import Box, BoxFamily, Interval, TwoLines
+from .geometry import Box, BoxFamily, Interval, TwoLines, _set, _Value
 
 GADGET_TAG = "boxpierce.gadget/v1"
 EXTREMAL_TAG = "boxpierce.extremal/v1"
@@ -68,8 +67,7 @@ def gen_extremal_two_line(n: int) -> BoxFamily:
     return BoxFamily(2, tuple(boxes), _GADGET_LINES)
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(_Value):
     """Deterministic random-family parameters.
 
     With two_line=True (planar only), each box's interval on axis 1 is
@@ -77,14 +75,12 @@ class RandomSpec:
     two-line condition holds by construction.
     """
 
-    n_boxes: int
-    dim: int = 2
-    coord_range: tuple[int, int] = (0, 20)
-    seed: int = 0
-    two_line: bool = False
-    lines: tuple[int, int] | None = None
+    __slots__ = ("n_boxes", "dim", "coord_range", "seed", "two_line", "lines")
 
-    def __post_init__(self):
+    def __init__(self, n_boxes: int, dim: int = 2, coord_range: tuple[int, int] = (0, 20),
+                 seed: int = 0, two_line: bool = False, lines: tuple[int, int] | None = None):
+        for name, value in zip(self.__slots__, (n_boxes, dim, coord_range, seed, two_line, lines)):
+            _set(self, name, value)
         if type(self.n_boxes) is not int or self.n_boxes < 0:
             raise ValueError(f"n_boxes must be a non-negative integer, got {self.n_boxes!r}")
         if type(self.dim) is not int or self.dim < 1:

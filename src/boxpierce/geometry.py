@@ -12,9 +12,10 @@ pure function, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 COORD_BOUND = 2**63
+_set = object.__setattr__
 
 
 def _check_coord(value, where: str) -> int:
@@ -25,20 +26,45 @@ def _check_coord(value, where: str) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class _Value:
+    """Immutable value whose fields are its slots, set once by `__init__`; equal only
+    to its own class. Pickling and copying rebuild it through `__init__`."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):  # equal iff both rebuild from the same call
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Interval(_Value):
     """Closed integer interval [lo, hi]; lo == hi is a valid degenerate interval."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND:
-            return
-        _check_coord(lo, "interval lo")
-        _check_coord(hi, "interval hi")
-        raise ValueError(f"interval has lo > hi: [{lo}, {hi}]")
+    def __init__(self, lo: int, hi: int):
+        if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
+            _check_coord(lo, "interval lo")
+            _check_coord(hi, "interval hi")
+            raise ValueError(f"interval has lo > hi: [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi
@@ -47,34 +73,34 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(_Value):
     """Point with one integer coordinate per axis."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not self.coords:
+    def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(coords)
+        if not coords:
             raise ValueError("point needs at least one coordinate")
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(coords):
             _check_coord(c, f"point coordinate {i}")
+        _set(self, "coords", coords)
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
+class Box(_Value):
     """Axis-parallel closed box: the product of one Interval per axis."""
 
-    sides: tuple[Interval, ...]
+    __slots__ = ("sides",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(self.sides))
-        if not self.sides:
+    def __init__(self, sides: tuple[Interval, ...]):
+        sides = tuple(sides)
+        if not sides:
             raise ValueError("box needs at least one axis")
+        _set(self, "sides", sides)
 
     @classmethod
     def from_bounds(cls, bounds) -> Box:
@@ -105,37 +131,39 @@ def intersects(p: Box, q: Box) -> bool:
     return all(a.overlaps(b) for a, b in zip(p.sides, q.sides))
 
 
-@dataclass(frozen=True, slots=True)
-class TwoLines:
+class TwoLines(_Value):
     """Two parallel lines orthogonal to `axis`, at coordinates c1 <= c2.
 
     A family annotated with this certifies that every member's interval
     on `axis` contains c1 or c2.
     """
 
-    axis: int
-    c1: int
-    c2: int
+    __slots__ = ("axis", "c1", "c2")
 
-    def __post_init__(self):
-        if type(self.axis) is not int or self.axis < 0:
-            raise ValueError(f"line axis must be a non-negative integer, got {self.axis!r}")
-        _check_coord(self.c1, "line c1")
-        _check_coord(self.c2, "line c2")
-        if self.c1 > self.c2:
-            raise ValueError(f"lines out of order: c1={self.c1} > c2={self.c2}")
+    def __init__(self, axis: int, c1: int, c2: int):
+        if type(axis) is not int or axis < 0:
+            raise ValueError(f"line axis must be a non-negative integer, got {axis!r}")
+        _check_coord(c1, "line c1")
+        _check_coord(c2, "line c2")
+        if c1 > c2:
+            raise ValueError(f"lines out of order: c1={c1} > c2={c2}")
+        _set(self, "axis", axis)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
 
 
-@dataclass(frozen=True, slots=True)
-class BoxFamily:
+class BoxFamily(_Value):
     """Finite multiset of same-dimension boxes, optionally with a two-line certificate."""
 
-    dim: int
-    boxes: tuple[Box, ...]
-    lines: TwoLines | None = None
+    __slots__ = ("dim", "boxes", "lines")
 
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+    def __init__(self, dim: int, boxes: tuple[Box, ...], lines: TwoLines | None = None):
+        _set(self, "dim", dim)
+        _set(self, "boxes", tuple(boxes))
+        _set(self, "lines", lines)
+        self.__post_init__()
+
+    def __post_init__(self):  # kept apart from __init__, so a wrapper can count validations
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"family dimension must be a positive integer, got {self.dim!r}")
         for i, b in enumerate(self.boxes):
@@ -173,8 +201,7 @@ class BoxFamily:
         return BoxFamily(self.dim, tuple(boxes), lines)
 
 
-@dataclass(frozen=True, slots=True)
-class FourWaySplit:
+class FourWaySplit(NamedTuple):
     """Partition of a family at two coordinates a <= b on one axis.
 
     minus holds boxes entirely left of a (r < a), plus entirely right of

@@ -17,10 +17,10 @@ instance argument.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from .geometry import Box, BoxFamily, Interval, Point, TwoLines
 
@@ -32,13 +32,17 @@ class InstanceFormatError(ValueError):
     """Malformed instance or report document; the message names the location."""
 
 
-def _reject_constant(token: str):
-    raise InstanceFormatError(f"non-finite number {token!r} is not a valid coordinate")
+def _finite(literal: str) -> float:
+    """Parse a float or constant literal, refusing NaN, Infinity and overflow such as 1e400."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise InstanceFormatError(f"non-finite number {literal!r} is not a valid coordinate")
+    return value
 
 
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
@@ -55,8 +59,7 @@ def _build(make, args, where: str, *at):
         raise InstanceFormatError(f"{where.format(*at)}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A family plus free-form metadata (generator tag, seed, description)."""
 
     family: BoxFamily
@@ -221,7 +224,7 @@ def report_to_obj(report: PierceReport, algo: str, policy: str | None,
         "guarantee": report.guarantee,
         "nu_used": report.nu_used,
         "points": [list(p.coords) for p in report.points],
-        "trace": [asdict(t) for t in report.trace],
+        "trace": [t._asdict() for t in report.trace],
         "instance": instance_to_obj(instance),
     }
 
@@ -278,8 +281,7 @@ def parse_points_document(text: str, dim: int | None = None
 # verification
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Containment check of a point set against a family.
 
     hits_all is true iff violations (indices of unhit boxes) is empty.

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import or_
+from typing import NamedTuple
 
 from .geometry import BoxFamily, Point
 
@@ -42,16 +42,14 @@ def check_cap(f: BoxFamily, cap: int) -> None:
         raise CapExceeded(f"family has {len(f)} boxes, exact-oracle cap is {cap}")
 
 
-@dataclass(frozen=True)
-class NuResult:
+class NuResult(NamedTuple):
     """Packing number with a witness of pairwise-disjoint box indices."""
 
     nu: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     """Piercing number with a witness point set meeting every box."""
 
     tau: int

@@ -40,8 +40,8 @@ smallest coordinate, lowest box index), so runs are deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
 from .geometry import (
@@ -67,8 +67,7 @@ class SplitPolicy(str, Enum):
     DP_OPTIMAL = "dp"
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """One recursion event: where the family was split and how it divided."""
 
     node: int
@@ -83,8 +82,7 @@ class TraceNode:
     sizes: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class PierceReport:
+class PierceReport(NamedTuple):
     """Piercing set plus the size bound certified for this run.
 
     `nu_used` is the exact packing number the run was entered with and
@@ -94,11 +92,15 @@ class PierceReport:
     points: tuple[Point, ...]
     guarantee: float
     nu_used: int
-    trace: tuple[TraceNode, ...] = field(default=(), repr=False)
+    trace: tuple[TraceNode, ...] = ()
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    def __repr__(self):  # without the trace, which can be long
+        return (f"PierceReport(points={self.points!r}, guarantee={self.guarantee!r}, "
+                f"nu_used={self.nu_used!r})")
 
 
 class _Tracer:

@@ -164,6 +164,19 @@ def test_undecodable_stdin_exits_1():
     assert b"byte 47" in res.stderr
 
 
+# 1e400 decodes to inf, which no stage may echo: JSON has no Infinity
+def test_guarantee_past_a_double_exits_1_naming_the_literal():
+    report = run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout
+    res = run("verify", stdin=report.replace('"guarantee": 3.0', '"guarantee": 1e400'))
+    assert res.returncode == 1 and res.stdout == "" and "'1e400'" in res.stderr
+
+
+def test_meta_number_past_a_double_exits_1_naming_the_literal():
+    gadget = run("gen", "gadget").stdout.replace('"meta": {', '"meta": {"x": -1e400, ')
+    res = run("pierce", "--algo", "twoline", stdin=gadget)
+    assert res.returncode == 1 and res.stdout == "" and "'-1e400'" in res.stderr
+
+
 def test_verify_refuses_stdin_for_both_points_and_instance():
     res = run("verify", "--instance", "-", stdin=run("gen", "gadget").stdout)
     assert res.returncode == 2 and res.stdout == ""
@@ -200,8 +213,8 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert res.stdout.strip() == "False"
 
 
-_LOADED = ("; import json, sys; "
-           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('boxpierce'))))")
+_LOADED = ("; import json, sys; print(json.dumps(sorted("
+           "m for m in sys.modules if m.startswith('boxpierce') or m == 'dataclasses')))")
 
 
 def _loaded_by(code: str, stdin=None) -> list[str]:
@@ -221,6 +234,13 @@ def test_each_subcommand_imports_only_what_it_runs():
     gen = _loaded_by(run_cli.format(["gen", "gadget"]))
     assert "boxpierce.generators" in gen
     assert not {"boxpierce.piercing", "boxpierce.bounds"} & set(gen)
+    # importing dataclasses (inspect, ast, dis, tokenize) costs ~20 ms per process
+    gadget = run("gen", "gadget").stdout
+    loaded = [verify, gen, _loaded_by(run_cli.format(["bounds", "prop3", "5"]))]
+    loaded += [_loaded_by(run_cli.format(argv), stdin=gadget) for argv in (
+        ["nu"], ["tau"], ["pierce", "--algo", "twoline"], ["pierce", "--algo", "planar"],
+        ["pierce", "--algo", "planar", "--policy", "dp"], ["pierce", "--algo", "ddim"])]
+    assert not [modules for modules in loaded if "dataclasses" in modules]
 
 
 def test_lazy_package_resolves_every_export():

@@ -253,7 +253,8 @@ def test_lazy_package_resolves_every_export():
 
 
 _GENS = {"gadget": ("gen", "gadget"), "extremal7": ("gen", "extremal", "7"),
-         "random40": ("gen", "random", "--boxes", "40", "--dim", "3", "--seed", "5")}
+         "random40": ("gen", "random", "--boxes", "40", "--dim", "3", "--seed", "5"),
+         "random48": ("gen", "random", "--boxes", "48", "--range", "0", "1000", "--seed", "5")}
 _PIERCE = [("--algo", "twoline"), ("--algo", "planar"), ("--algo", "planar", "--policy", "dp"),
            ("--algo", "ddim"), ("--algo", "ddim", "--policy", "dp")]
 # exit code and sha256 of stdout per invocation; "a | b" pipes a's stdout into b
@@ -295,6 +296,15 @@ _PINNED_STDOUT = {
     'random40 | pierce --algo ddim --policy dp': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     'random40 | pierce --algo ddim --cap 64': (0, "86bc60417c83dc5c5cd66e5046e6bac5d8c794228206e08c622bb52b20c7caca"),
     'random40 | pierce --algo ddim --cap 64 | verify': (0, "23f97475c554fbfbc2a4451639edb5c8bbac30cb8b8ddc2c30176761c8bfd3cf"),
+    'gen random --boxes 48 --range 0 1000 --seed 5': (0, "ee282447705cd325737e216060e4d093daebb3f26279a2181d683bbe2797f466"),
+    'random48 | pierce --algo planar --cap 64': (0, "5ac688b644fd4aed4b6f5435ea4e43cddeb194da960278f9af2f2315262c0b19"),
+    'random48 | pierce --algo planar --cap 64 | verify': (0, "ce8d18b92c5f131c0d615919e529eca0c56400de1aec3ad357bc959870807f06"),
+    'random48 | pierce --algo planar --policy dp --cap 64': (0, "58b0270ea8f02d10fd3344927322fb6d199e3bb81ed13272e1a5ddd9fdd5bfb8"),
+    'random48 | pierce --algo planar --policy dp --cap 64 | verify': (0, "04b1ae247eef9c5e1af36695f77ab8250a3900cdb532c558b0c0166482cfd404"),
+    'random48 | pierce --algo ddim --cap 64': (0, "b8e737e5514c2939bed88b47eb2b4e358bd79b6e2b5c50128a556827c31a4d58"),
+    'random48 | pierce --algo ddim --cap 64 | verify': (0, "ce8d18b92c5f131c0d615919e529eca0c56400de1aec3ad357bc959870807f06"),
+    'random48 | pierce --algo ddim --policy dp --cap 64': (0, "6d5dbc8e47794e7df96e7692c5bf8029b3d9f58247ce095b641a1f7d02f6b67a"),
+    'random48 | pierce --algo ddim --policy dp --cap 64 | verify': (0, "04b1ae247eef9c5e1af36695f77ab8250a3900cdb532c558b0c0166482cfd404"),
 }
 
 
@@ -310,6 +320,8 @@ def test_stdout_bytes_are_pinned():
         cases = [("nu",), ("tau",)] + [("pierce",) + p for p in _PIERCE]
         if name == "random40":  # over the default cap of 32 boxes
             cases += [("nu", "--cap", "64"), ("pierce", "--algo", "ddim", "--cap", "64")]
+        elif name == "random48":  # planar, so its splits run threshold probes with k >= 2
+            cases = [("pierce",) + p + ("--cap", "64") for p in _PIERCE[1:]]
         for args in cases:
             key = f"{name} | {' '.join(args)}"
             res = record(key, args, inst)

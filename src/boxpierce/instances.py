@@ -261,8 +261,13 @@ def parse_points_document(text: str, dim: int | None = None
     if obj.get("instance") is not None:
         instance = obj_to_instance(obj["instance"])
     guarantee = obj.get("guarantee")
-    if guarantee is not None and type(guarantee) not in (int, float):  # bool is not a number here
-        raise InstanceFormatError("guarantee: expected a number")
+    if guarantee is not None:
+        if type(guarantee) not in (int, float):  # bool is not a number here
+            raise InstanceFormatError("guarantee: expected a number")
+        try:
+            guarantee = float(guarantee)
+        except OverflowError:  # an integer literal past a double's range
+            raise InstanceFormatError("guarantee: number out of range") from None
     if dim is None and instance is not None:
         dim = instance.family.dim
     raw_points = obj["points"]
@@ -274,7 +279,7 @@ def parse_points_document(text: str, dim: int | None = None
         else:
             dim = 1
     points = points_from_obj(raw_points, dim)
-    return points, instance, None if guarantee is None else float(guarantee)
+    return points, instance, guarantee
 
 
 # ---------------------------------------------------------------------------

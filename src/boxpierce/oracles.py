@@ -144,52 +144,6 @@ def _max_disjoint(adj: list[int], avail: int) -> int:
     return best
 
 
-def _packs(adj: list[int], order: list[int], t: int) -> bool:
-    """Whether the boxes listed in `order` hold t >= 1 pairwise-disjoint ones.
-
-    Yes if a greedy pass in `order` takes t (probes list by right
-    endpoint, which makes it strong; any order is exact). Otherwise
-    partition them into cliques: walking `order`, each part starts at
-    the first box not yet placed and takes every later one meeting all
-    its members. A disjoint set takes at most one box per part, so fewer
-    than t parts mean no, and `size` plus the parts still meeting the
-    available boxes bounds a search that takes one box of the next such
-    part, or none.
-    """
-    taken = blocked = 0
-    for i in order:
-        if not blocked >> i & 1:
-            taken += 1
-            blocked |= adj[i]
-    if taken >= t:
-        return True
-    parts = []
-    rest = avail = sum(1 << i for i in order)
-    for pos, i in enumerate(order):
-        if rest >> i & 1:
-            inside, common = [i], adj[i] & rest
-            for j in order[pos + 1:]:
-                if common >> j & 1:
-                    inside.append(j)
-                    common &= adj[j]
-            part = sum(1 << j for j in inside)
-            rest &= ~part
-            parts.append((part, inside))
-    stack = [(avail, 0)]
-    while stack:
-        avail, size = stack.pop()
-        live = [p for p in parts if p[0] & avail]
-        if size + len(live) >= t:
-            part, inside = live[0]
-            stack.append((avail & ~part, size))
-            for i in reversed(inside):
-                if avail >> i & 1:
-                    if size + 1 >= t:
-                        return True
-                    stack.append((avail & ~adj[i] & ~part, size + 1))
-    return False
-
-
 def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
     """Exact packing number: maximum independent set in the intersection graph.
 

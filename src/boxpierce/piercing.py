@@ -25,13 +25,14 @@ calls receive the upper bounds the split inequalities guarantee instead
 of re-solving subfamilies. Thresholds realize the continuous cut
 positions discretely: the left threshold is the smallest right endpoint
 at which the prefix first packs k+1 pairwise-disjoint boxes, which
-keeps every inequality exact. The right threshold is the left one of
-the family mirrored on the axis. Probes with k <= 1 on either side need
-no search: "packs 1" means "non-empty", and "packs 2" means "not
-pairwise intersecting", a Helly test (max lo > min hi on some axis);
-this covers every round of the two-line sweep. Probes with k >= 2 ask
-only "packs k+1?", which a greedy pass or a clique-cover bound mostly
-answers without the exact oracle. Split sizes under the DP-optimal
+keeps every inequality exact. The right threshold is the same search
+over the reflected left endpoints ~lo, since reflecting one axis changes
+no intersection. Probes with k <= 1 on either side need no search:
+"packs 1" means "non-empty", and "packs 2" means "not pairwise
+intersecting", a Helly test (max lo > min hi on some axis); this covers
+every round of the two-line sweep. Probes with k >= 2 ask only "packs
+k+1?" of a prefix: a greedy pass mostly answers yes, and the branch and
+bound behind `nu_exact` decides the rest. Split sizes under the DP-optimal
 policy come from the same tables that certify the guarantee
 (`split_prop3`, `split_prop1`). All tie-breaking is fixed (lowest axis,
 smallest coordinate, lowest box index), so runs are deterministic.
@@ -45,9 +46,7 @@ from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
 from .geometry import (
-    Box,
     BoxFamily,
-    Interval,
     Point,
     TwoLines,
     _check_axis,
@@ -56,8 +55,8 @@ from .geometry import (
     split_four,
     split_three,
 )
-from .oracles import (DEFAULT_CAP, _adjacency, _packs, check_cap, check_cap_value, common_point,
-                      nu_exact)
+from .oracles import (DEFAULT_CAP, _adjacency, _greedy_disjoint, _max_disjoint, check_cap,
+                      check_cap_value, common_point, nu_exact)
 
 
 class SplitPolicy(str, Enum):
@@ -127,49 +126,56 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
-def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
-    """Smallest right endpoint a with nu({r <= a}) >= k+1, or None.
+def _threshold(boxes, ends, k: int) -> int | None:
+    """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
-    Then {r < a} packs at most k disjoint boxes while {r <= a} packs
-    k+1, all disjoint from {l > a}. The prefix packing number is a
-    nondecreasing step function of a changing only at right endpoints,
-    so binary search over them is exact.
+    `ends` holds one value per box: its right endpoint on the cut axis
+    for a left threshold, or its reflected left endpoint ~lo for a right
+    threshold, which is then ~ the answer. The reflection x -> ~x
+    (= -1-x) reverses the order and maps the 64-bit range onto itself;
+    it changes no intersection, so the boxes are used as they are.
+
+    With a the answer, {end < a} packs at most k disjoint boxes while
+    {end <= a} packs k+1. The prefix packing number is a nondecreasing
+    step function of a changing only at end values, so binary search
+    over them is exact.
 
     For k <= 1 no search is needed. A prefix packs 1 iff it is
-    non-empty, so for k == 0 the answer is the smallest right endpoint.
-    A prefix packs 2 iff it is not pairwise intersecting, iff max lo >
-    min hi on some axis (Helly per axis). For k == 1, one scan in
-    right-endpoint order, keeping those running extremes, returns the
-    first right endpoint at which that happens.
+    non-empty, so for k == 0 the answer is the smallest end. A prefix
+    packs 2 iff it is not pairwise intersecting, iff max lo > min hi on
+    some axis (Helly per axis). For k == 1, one scan in end order,
+    keeping those running extremes, returns the first end at which that
+    happens.
 
-    For k >= 2 the adjacency is built once per search, and each probe
-    asks `_packs` whether a prefix of the right-endpoint order packs k+1.
+    For k >= 2 the adjacency is built once, over the boxes in end order,
+    so every prefix is a low-bit mask. A greedy pass in end order answers
+    most probes "packs k+1?" with yes; `_max_disjoint` decides the rest.
     """
-    if not len(f):
+    if not boxes:
         return None
     if k == 0:
-        return min(b.sides[axis].hi for b in f.boxes)
+        return min(ends)
+    order = sorted(range(len(boxes)), key=ends.__getitem__)
     if k == 1:
-        boxes = sorted(f.boxes, key=lambda b: b.sides[axis].hi)
-        max_lo = [iv.lo for iv in boxes[0].sides]
-        min_hi = [iv.hi for iv in boxes[0].sides]
-        for b in boxes:
-            for ax, iv in enumerate(b.sides):
+        max_lo = [iv.lo for iv in boxes[order[0]].sides]
+        min_hi = [iv.hi for iv in boxes[order[0]].sides]
+        for i in order:
+            for ax, iv in enumerate(boxes[i].sides):
                 max_lo[ax] = max(max_lo[ax], iv.lo)
                 min_hi[ax] = min(min_hi[ax], iv.hi)
                 if max_lo[ax] > min_hi[ax]:
-                    return b.sides[axis].hi
+                    return ends[i]
         return None
-    boxes = f.boxes
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].sides[axis].hi)
-    his = [boxes[i].sides[axis].hi for i in order]
-    rights = sorted(set(his))
-    adj = _adjacency(boxes)
+    ends = [ends[i] for i in order]
+    adj = _adjacency([boxes[i] for i in order])
 
-    def packs(x: int) -> bool:  # does the prefix {r <= x} pack k+1?
-        return _packs(adj, order[:bisect_right(his, x)], k + 1)
+    def packs(x: int) -> bool:  # does the prefix {end <= x} pack k+1?
+        prefix = (1 << bisect_right(ends, x)) - 1
+        return (_greedy_disjoint(adj, prefix).bit_count() > k
+                or _max_disjoint(adj, prefix).bit_count() > k)
 
-    if not packs(rights[-1]):  # the full family: nu(f) <= k
+    rights = sorted(set(ends))
+    if not packs(rights[-1]):  # the full family: nu <= k
         return None
     lo, hi = 0, len(rights) - 1
     while lo < hi:
@@ -181,37 +187,26 @@ def _threshold_low(f: BoxFamily, axis: int, k: int) -> int | None:
     return rights[lo]
 
 
-def _mirror(f: BoxFamily, axis: int) -> BoxFamily:
-    """Reflect the axis by x -> ~x (= -1-x), which maps the 64-bit range onto itself.
-
-    Left thresholds of the mirror are ~ the right thresholds of f. The
-    two-line certificate is dropped; packing numbers do not use it.
-    """
-    def flip(b: Box) -> Box:
-        iv = b.sides[axis]
-        sides = list(b.sides)
-        sides[axis] = Interval(~iv.hi, ~iv.lo)
-        return Box(sides)
-
-    return f.replace_boxes(map(flip, f.boxes))
-
-
-def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """Public threshold search; raises if the packing number is <= k."""
+def _checked_threshold(f: BoxFamily, axis: int, k: int, cap: int, end) -> int:
+    """`_threshold` over `end` of each box's side on `axis`, behind the public checks."""
     _check_axis(f, axis)
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     check_cap(f, cap)
-    a = _threshold_low(f, axis, k)
-    if a is None:
+    t = _threshold(f.boxes, [end(b.sides[axis]) for b in f.boxes], k)
+    if t is None:
         raise ValueError(f"no threshold: the family packs at most {k} disjoint boxes")
-    return a
+    return t
+
+
+def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
+    """Smallest right endpoint a with nu({r <= a}) >= k+1; raises if the packing number is <= k."""
+    return _checked_threshold(f, axis, k, cap, lambda iv: iv.hi)
 
 
 def find_threshold_hi(f: BoxFamily, axis: int, m: int, cap: int = DEFAULT_CAP) -> int:
     """Largest left endpoint b with nu({l >= b}) >= m+1; raises if the packing number is <= m."""
-    _check_axis(f, axis)  # before mirroring; find_threshold checks m
-    return ~find_threshold(_mirror(f, axis), axis, m, cap)
+    return ~_checked_threshold(f, axis, m, cap, lambda iv: ~iv.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer, parent: int | Non
     threshold each meet a line, so the two crossing points cover them;
     the suffix lost two disjoint boxes, so its bound drops by 2. Each
     round's threshold is a k == 1 probe, i.e. the Helly test of
-    `_threshold_low`, so the sweep itself never calls the exact oracle.
+    `_threshold`, so the sweep itself never calls the exact oracle.
     Once the bound is at most 1 the remaining boxes pairwise intersect,
     so the probe finds no threshold and one common point ends the sweep.
     """
@@ -265,7 +260,7 @@ def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer, parent: int | Non
     points: list[Point] = []
     remaining, b = f, bound
     while len(remaining):
-        t = _threshold_low(remaining, sweep_axis, 1)
+        t = _threshold(remaining.boxes, [box.sides[sweep_axis].hi for box in remaining.boxes], 1)
         if t is None:
             points.append(common_point(remaining))
             tracer.add(parent, remaining, op="common-point", bound=b, sizes=(len(remaining),))
@@ -315,16 +310,16 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
         tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
         return [common_point(f)]
     k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
-    a = _threshold_low(f, 0, k)
+    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
     if a is None:  # nu(f) <= k: re-enter with the tight bound
         return _planar_rec(f, k, policy, tracer, parent)
-    b = _threshold_low(_mirror(f, 0), 0, m)
+    b = _threshold(f.boxes, [~box.sides[0].lo for box in f.boxes], m)
     if b is None:
         return _planar_rec(f, m, policy, tracer, parent)
-    # If a > ~b, both packing prefixes overrun each other; every cut point
-    # between them leaves {r < a} packing <= k and {l > a} packing
-    # <= m, so collapse to the single line x = a (the middle part
-    # is then empty and the crossing boxes form a one-line family).
+    # The right threshold is ~b. If a > ~b, both packing prefixes overrun
+    # each other; every cut point between them leaves {r < a} packing <= k
+    # and {l > a} packing <= m, so collapse to the single line x = a (the
+    # middle part is then empty and the crossing boxes form a one-line family).
     b = max(a, ~b)
     parts = split_four(f, 0, a, b)
     node = tracer.add(parent, f, op="split-four", bound=bound, axis=0, lo=a, hi=b,
@@ -366,7 +361,7 @@ def _ddim_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
         tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
         return [common_point(f)]
     k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, f.dim)
-    a = _threshold_low(f, 0, k)
+    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
     if a is None:  # nu(f) <= k: re-enter with the tight bound
         return _ddim_rec(f, k, policy, tracer, parent)
     minus, zero, plus = split_three(f, 0, a)

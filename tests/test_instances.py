@@ -98,8 +98,10 @@ def _points(doc):
     (_points, {"points": [[2**63]]}, "points[0]"),
     (_points, {"points": [[0], [0.5]]}, "points[1]"),
     (_points, {"points": [], "guarantee": True}, "guarantee"),
+    (_points, {"points": [], "guarantee": 10**400}, "guarantee"),
 ], ids=["coord-2^63", "float-coord", "reversed-second-box", "line-axis-neg", "line-c2-huge",
-        "line-axis-5-dim-2", "point-2^63", "float-second-point", "guarantee-bool"])
+        "line-axis-5-dim-2", "point-2^63", "float-second-point", "guarantee-bool",
+        "guarantee-10^400"])
 def test_invalid_field_names_its_location(parse, doc, where):
     with pytest.raises(InstanceFormatError) as info:
         parse(doc)

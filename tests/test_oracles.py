@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxpierce import (
     BoxFamily,
@@ -20,12 +21,13 @@ from boxpierce import (
     nu_exact,
     tau_exact,
 )
-from boxpierce.oracles import _adjacency
+from boxpierce.oracles import _adjacency, _max_disjoint
 
 from _helpers import (
     brute_force_nu,
     brute_force_nu_witness,
     brute_force_tau,
+    families,
     family,
     family_1d,
     small_families,
@@ -92,6 +94,28 @@ def test_adjacency_matches_pairwise_intersection(fam):
     expected = [sum(1 << j for j in range(len(boxes)) if j != i and intersects(boxes[i], boxes[j]))
                 for i in range(len(boxes))]
     assert _adjacency(boxes) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(14), st.data())
+def test_max_disjoint_is_exact_on_any_mask(fam, data):
+    # threshold probes search prefixes of the boxes in end order, which are
+    # not connected components; arbitrary masks cover every other shape
+    boxes = list(fam.boxes)
+    if data.draw(st.booleans(), label="prefix"):
+        axis = data.draw(st.integers(0, fam.dim - 1), label="axis")
+        end = (lambda b: b.sides[axis].hi) if data.draw(st.booleans(), label="left") else (
+            lambda b: ~b.sides[axis].lo)
+        boxes.sort(key=end)
+        mask = (1 << data.draw(st.integers(0, len(boxes)), label="cut")) - 1
+    else:
+        mask = data.draw(st.integers(0, (1 << len(boxes)) - 1), label="mask")
+    best = _max_disjoint(_adjacency(boxes), mask)
+    chosen = [i for i in range(len(boxes)) if best >> i & 1]
+    assert best & ~mask == 0
+    assert not any(intersects(boxes[i], boxes[j]) for i, j in itertools.combinations(chosen, 2))
+    inside = fam.replace_boxes(b for i, b in enumerate(boxes) if mask >> i & 1)
+    assert len(chosen) == nu_exact(inside).nu
 
 
 def test_nu_cap_refusal():

@@ -26,8 +26,6 @@ from boxpierce import (
     tau_exact,
 )
 from boxpierce import piercing
-from boxpierce.oracles import _adjacency, _packs
-from boxpierce.piercing import _threshold_low
 
 from _helpers import families, family, family_1d, is_sound, small_families
 
@@ -102,6 +100,11 @@ def test_threshold_postcondition_on_random_families():
             assert nu_exact(right).nu <= n - k - 1
 
 
+def threshold_low(f, axis, k):
+    """The internal left-threshold search over right endpoints, None where none exists."""
+    return piercing._threshold(f.boxes, [b.sides[axis].hi for b in f.boxes], k)
+
+
 def reference_threshold(f, axis, k):
     """Smallest right endpoint a with nu({r <= a}) >= k+1, by binary search with nu_exact."""
     rights = sorted({b.sides[axis].hi for b in f.boxes})
@@ -153,7 +156,7 @@ def threshold_hi_or_none(f, axis, m):
 def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
     # k <= 1 take the no-search shortcuts, k == 2 the binary search
     axis %= fam.dim
-    assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+    assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,7 +176,7 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
                                     coord_range=(0, 15), seed=1100 + seed))
         for axis in range(fam.dim):
             for k in (0, 1):
-                assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+                assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
                 assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
 
 
@@ -181,33 +184,7 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
 @given(families(14), st.integers(0, 2), st.integers(0, 4))
 def test_threshold_probes_match_nu_search_up_to_k4(fam, axis, k):
     axis %= fam.dim
-    assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
-
-
-@settings(max_examples=200, deadline=None)
-@given(families(14), st.integers(0, 2), st.integers(0, 13))
-def test_packs_decides_prefix_packing(fam, axis, cut):
-    # the prefix {r <= x} at the cut-th smallest right endpoint, as a probe sees it
-    axis %= fam.dim
-    order = sorted(range(len(fam)), key=lambda i: fam.boxes[i].sides[axis].hi)
-    x = fam.boxes[order[cut % len(order)]].sides[axis].hi if order else 0
-    prefix = [i for i in order if fam.boxes[i].sides[axis].hi <= x]
-    nu = nu_exact(fam.replace_boxes(fam.boxes[i] for i in prefix)).nu
-    adj = _adjacency(fam.boxes)
-    for t in range(1, len(prefix) + 2):
-        assert _packs(adj, prefix, t) == (nu >= t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(families(14), st.data())
-def test_packs_is_exact_in_any_order(fam, data):
-    # a poor order weakens the greedy pass, so the clique bound and the search decide more
-    order = data.draw(st.permutations(range(len(fam))))
-    order = order[:data.draw(st.integers(0, len(order)))]
-    nu = nu_exact(fam.replace_boxes(fam.boxes[i] for i in sorted(order))).nu
-    adj = _adjacency(fam.boxes)
-    for t in range(1, len(order) + 2):
-        assert _packs(adj, order, t) == (nu >= t)
+    assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
 
 
 def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
@@ -226,7 +203,7 @@ def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
                                     coord_range=(0, 60), seed=1300 + seed))
         for axis in range(fam.dim):
             for k in (2, 3, 4):
-                assert _threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+                assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
                 assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
         for policy in SplitPolicy:
             for pierce in (pierce_planar, pierce_ddim) if fam.dim == 2 else (pierce_ddim,):
@@ -559,5 +536,5 @@ def test_pierce_cap_refusal():
 
 def test_internal_threshold_helper_matches_public():
     fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert _threshold_low(fam, 0, 1) == 3
-    assert _threshold_low(family_1d([(0, 9), (1, 8)]), 0, 1) is None
+    assert threshold_low(fam, 0, 1) == 3
+    assert threshold_low(family_1d([(0, 9), (1, 8)]), 0, 1) is None

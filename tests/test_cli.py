@@ -169,13 +169,9 @@ def test_guarantee_past_a_double_exits_1_naming_the_literal():
     report = run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout
     res = run("verify", stdin=report.replace('"guarantee": 3.0', '"guarantee": 1e400'))
     assert res.returncode == 1 and res.stdout == "" and "'1e400'" in res.stderr
-
-
-def test_integer_guarantee_past_a_double_exits_1_naming_the_field():
-    report = run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout
+    # an integer literal decodes exactly, so the field's own check names it
     res = run("verify", stdin=report.replace('"guarantee": 3.0', '"guarantee": 1' + "0" * 400))
-    assert res.returncode == 1 and res.stdout == "" and "guarantee" in res.stderr
-    assert "Traceback" not in res.stderr
+    assert res.returncode == 1 and res.stdout == "" and "guarantee: " in res.stderr
 
 
 def test_meta_number_past_a_double_exits_1_naming_the_literal():

@@ -126,6 +126,16 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
+def _packs(adj: list[int], avail: int, t: int) -> bool:
+    """Do the boxes in mask `avail` pack t pairwise-disjoint ones?
+
+    The greedy pass in index order answers yes cheaply when it finds t;
+    otherwise `_max_disjoint` decides.
+    """
+    return (_greedy_disjoint(adj, avail).bit_count() >= t
+            or _max_disjoint(adj, avail).bit_count() >= t)
+
+
 def _threshold(boxes, ends, k: int) -> int | None:
     """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
@@ -170,9 +180,7 @@ def _threshold(boxes, ends, k: int) -> int | None:
     adj = _adjacency([boxes[i] for i in order])
 
     def packs(x: int) -> bool:  # does the prefix {end <= x} pack k+1?
-        prefix = (1 << bisect_right(ends, x)) - 1
-        return (_greedy_disjoint(adj, prefix).bit_count() > k
-                or _max_disjoint(adj, prefix).bit_count() > k)
+        return _packs(adj, (1 << bisect_right(ends, x)) - 1, k + 1)
 
     rights = sorted(set(ends))
     if not packs(rights[-1]):  # the full family: nu <= k

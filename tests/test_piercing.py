@@ -26,6 +26,8 @@ from boxpierce import (
     tau_exact,
 )
 from boxpierce import piercing
+from boxpierce.oracles import _adjacency
+from boxpierce.piercing import _packs
 
 from _helpers import families, family, family_1d, is_sound, small_families
 
@@ -185,6 +187,34 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
 def test_threshold_probes_match_nu_search_up_to_k4(fam, axis, k):
     axis %= fam.dim
     assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(14), st.integers(0, 2), st.integers(0, 13))
+def test_packs_decides_prefix_packing(fam, axis, cut):
+    # the prefix {r <= x} at the cut-th smallest right endpoint, as a probe sees it:
+    # the adjacency is over the boxes in end order, so the prefix is a low-bit mask
+    axis %= fam.dim
+    boxes = sorted(fam.boxes, key=lambda b: b.sides[axis].hi)
+    x = boxes[cut % len(boxes)].sides[axis].hi if boxes else 0
+    size = sum(b.sides[axis].hi <= x for b in boxes)
+    nu = nu_exact(fam.replace_boxes(boxes[:size])).nu
+    adj = _adjacency(boxes)
+    for t in range(1, size + 2):
+        assert _packs(adj, (1 << size) - 1, t) == (nu >= t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(14), st.data())
+def test_packs_is_exact_in_any_order(fam, data):
+    # a poor order weakens the greedy pass, so the search decides more
+    order = data.draw(st.permutations(range(len(fam))))
+    boxes = [fam.boxes[i] for i in order]
+    mask = data.draw(st.integers(0, (1 << len(boxes)) - 1), label="mask")
+    nu = nu_exact(fam.replace_boxes(b for i, b in enumerate(boxes) if mask >> i & 1)).nu
+    adj = _adjacency(boxes)
+    for t in range(1, mask.bit_count() + 2):
+        assert _packs(adj, mask, t) == (nu >= t)
 
 
 def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):

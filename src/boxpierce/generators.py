@@ -72,7 +72,8 @@ class RandomSpec(_Value):
 
     With two_line=True (planar only), each box's interval on axis 1 is
     clamped to contain one of the two lines, chosen uniformly, so the
-    two-line condition holds by construction.
+    two-line condition holds by construction. `lines` (c1, c2, in either
+    order) places those lines; it is refused without two_line.
     """
 
     __slots__ = ("n_boxes", "dim", "coord_range", "seed", "two_line", "lines")
@@ -94,6 +95,8 @@ class RandomSpec(_Value):
             c1, c2 = self.effective_lines()
             if not (lo <= c1 <= c2 <= hi):
                 raise ValueError(f"lines {c1}, {c2} outside coordinate range {self.coord_range}")
+        elif self.lines is not None:
+            raise ValueError("lines are only used by two-line instances; need two_line=True")
 
     def effective_lines(self) -> tuple[int, int]:
         if self.lines is not None:

@@ -225,22 +225,12 @@ def _check_axis(f: BoxFamily, axis: int) -> None:
 def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:
     """Partition into ({r < x}, {interval contains x}, {l > x}) on the axis.
 
-    Returns (minus, zero, plus); order within each part preserves input order.
+    Returns (minus, zero, plus) of `split_four(f, axis, x, x)`, whose
+    plusminus part is always empty at a = b; order within each part
+    preserves input order.
     """
-    _check_axis(f, axis)
-    _check_coord(x, "split coordinate")
-    minus, zero, plus = [], [], []
-    for b in f.boxes:
-        iv = b.sides[axis]
-        if iv.hi < x:
-            minus.append(b)
-        elif iv.lo > x:
-            plus.append(b)
-        else:
-            zero.append(b)
-    return (f.replace_boxes(minus, f.lines),
-            f.replace_boxes(zero, f.lines),
-            f.replace_boxes(plus, f.lines))
+    parts = split_four(f, axis, x, x)
+    return parts.minus, parts.zero, parts.plus
 
 
 def split_four(f: BoxFamily, axis: int, a: int, b: int) -> FourWaySplit:

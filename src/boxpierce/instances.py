@@ -339,15 +339,4 @@ def _pierced(box: Box, coords: list[tuple[int, ...]], xs: list[int]) -> bool:
 
 
 def verify_to_obj(vr: VerifyReport) -> dict:
-    obj: dict[str, Any] = {
-        "hits_all": vr.hits_all,
-        "size": vr.size,
-        "violations": list(vr.violations),
-    }
-    if vr.guarantee is not None:
-        obj["guarantee"] = vr.guarantee
-    if vr.nu is not None:
-        obj["nu"] = vr.nu
-    if vr.tau is not None:
-        obj["tau"] = vr.tau
-    return obj
+    return {k: v for k, v in vr._asdict().items() if v is not None}

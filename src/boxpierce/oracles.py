@@ -109,7 +109,7 @@ def _components(adj: list[int]):
         yield comp
 
 
-def _max_disjoint(adj: list[int], avail: int) -> int:
+def _max_disjoint(adj: list[int], avail: int, enough: int | None = None) -> int:
     """Lexicographically greatest maximum disjoint subset of `avail`, as a mask.
 
     Branch and bound on the lowest-index available box, include-branch
@@ -118,9 +118,17 @@ def _max_disjoint(adj: list[int], avail: int) -> int:
     greatest maximal set) only prunes; it is the answer only when it is
     already maximum. The search runs on an explicit stack, so a deep
     component needs no Python recursion.
+
+    With `enough`, it decides "does `avail` pack `enough`?": it returns
+    the seed if that has `enough` boxes, else the first leaf that beats
+    an incumbent of size `enough - 1`, else the (smaller) seed.
     """
     best = _greedy_disjoint(adj, avail)
     best_size = best.bit_count()
+    if enough is not None:
+        if best_size >= enough:
+            return best
+        best_size = enough - 1
     stack = [(avail, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -140,6 +148,8 @@ def _max_disjoint(adj: list[int], avail: int) -> int:
             if size + count <= best_size:
                 break
         else:
+            if enough is not None:
+                return chosen
             best, best_size = chosen, size
     return best
 

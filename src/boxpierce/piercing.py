@@ -22,7 +22,9 @@ every input box and whose size never exceeds the reported guarantee:
 
 The exact packing number is computed once, at the root; recursive
 calls receive the upper bounds the split inequalities guarantee instead
-of re-solving subfamilies. Thresholds realize the continuous cut
+of re-solving subfamilies. Both recursions step through `_rec`, which
+ends an empty family or one with bound <= 1 and hands the rest to the
+planar or the d-dim split. Thresholds realize the continuous cut
 positions discretely: the left threshold is the smallest right endpoint
 at which the prefix first packs k+1 pairwise-disjoint boxes, which
 keeps every inequality exact. The right threshold is the same search
@@ -30,17 +32,17 @@ over the reflected left endpoints ~lo, since reflecting one axis changes
 no intersection. Probes with k <= 1 on either side need no search:
 "packs 1" means "non-empty", and "packs 2" means "not pairwise
 intersecting", a Helly test (max lo > min hi on some axis); this covers
-every round of the two-line sweep. Probes with k >= 2 ask only "packs
-k+1?" of a prefix: a greedy pass mostly answers yes, and the branch and
-bound behind `nu_exact` decides the rest. Split sizes under the DP-optimal
-policy come from the same tables that certify the guarantee
-(`split_prop3`, `split_prop1`). All tie-breaking is fixed (lowest axis,
-smallest coordinate, lowest box index), so runs are deterministic.
+every round of the two-line sweep. Probes with k >= 2 bisect prefix
+lengths and ask only "packs k+1?": the branch and bound behind
+`nu_exact` answers, stopping at the first k+1 disjoint boxes. Split
+sizes under the DP-optimal policy come from the same tables that
+certify the guarantee (`split_prop3`, `split_prop1`). All tie-breaking
+is fixed (lowest axis, smallest coordinate, lowest box index), so runs
+are deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,8 +57,8 @@ from .geometry import (
     split_four,
     split_three,
 )
-from .oracles import (DEFAULT_CAP, _adjacency, _greedy_disjoint, _max_disjoint, check_cap,
-                      check_cap_value, common_point, nu_exact)
+from .oracles import (DEFAULT_CAP, _adjacency, _max_disjoint, check_cap, check_cap_value,
+                      common_point, nu_exact)
 
 
 class SplitPolicy(str, Enum):
@@ -126,16 +128,6 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
-def _packs(adj: list[int], avail: int, t: int) -> bool:
-    """Do the boxes in mask `avail` pack t pairwise-disjoint ones?
-
-    The greedy pass in index order answers yes cheaply when it finds t;
-    otherwise `_max_disjoint` decides.
-    """
-    return (_greedy_disjoint(adj, avail).bit_count() >= t
-            or _max_disjoint(adj, avail).bit_count() >= t)
-
-
 def _threshold(boxes, ends, k: int) -> int | None:
     """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
@@ -146,9 +138,7 @@ def _threshold(boxes, ends, k: int) -> int | None:
     it changes no intersection, so the boxes are used as they are.
 
     With a the answer, {end < a} packs at most k disjoint boxes while
-    {end <= a} packs k+1. The prefix packing number is a nondecreasing
-    step function of a changing only at end values, so binary search
-    over them is exact.
+    {end <= a} packs k+1.
 
     For k <= 1 no search is needed. A prefix packs 1 iff it is
     non-empty, so for k == 0 the answer is the smallest end. A prefix
@@ -158,8 +148,11 @@ def _threshold(boxes, ends, k: int) -> int | None:
     happens.
 
     For k >= 2 the adjacency is built once, over the boxes in end order,
-    so every prefix is a low-bit mask. A greedy pass in end order answers
-    most probes "packs k+1?" with yes; `_max_disjoint` decides the rest.
+    so every prefix is a low-bit mask. The packing number of the first p
+    boxes is nondecreasing in p, so a binary search over p from k+1 to n
+    finds the shortest prefix that packs k+1, and a is the end of its
+    last box. Each probe "packs k+1?" is `_max_disjoint` with `enough`:
+    its greedy seed mostly answers yes, and its search the rest.
     """
     if not boxes:
         return None
@@ -176,23 +169,21 @@ def _threshold(boxes, ends, k: int) -> int | None:
                 if max_lo[ax] > min_hi[ax]:
                     return ends[i]
         return None
-    ends = [ends[i] for i in order]
     adj = _adjacency([boxes[i] for i in order])
 
-    def packs(x: int) -> bool:  # does the prefix {end <= x} pack k+1?
-        return _packs(adj, (1 << bisect_right(ends, x)) - 1, k + 1)
+    def packs(p: int) -> bool:  # do the first p boxes in end order pack k+1?
+        return _max_disjoint(adj, (1 << p) - 1, k + 1).bit_count() > k
 
-    rights = sorted(set(ends))
-    if not packs(rights[-1]):  # the full family: nu <= k
+    lo, hi = k + 1, len(boxes)
+    if not packs(hi):  # the full family: nu <= k
         return None
-    lo, hi = 0, len(rights) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if packs(rights[mid]):
+        if packs(mid):
             hi = mid
         else:
             lo = mid + 1
-    return rights[lo]
+    return ends[order[lo - 1]]
 
 
 def _checked_threshold(f: BoxFamily, axis: int, k: int, cap: int, end) -> int:
@@ -312,18 +303,13 @@ def _balanced_triple(n: int) -> tuple[int, int, int]:
 
 def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
                 tracer: _Tracer, parent: int | None) -> list[Point]:
-    if not len(f):
-        return []
-    if bound <= 1:
-        tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
-        return [common_point(f)]
     k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
     a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
     if a is None:  # nu(f) <= k: re-enter with the tight bound
-        return _planar_rec(f, k, policy, tracer, parent)
+        return _rec(f, k, policy, tracer, parent)
     b = _threshold(f.boxes, [~box.sides[0].lo for box in f.boxes], m)
     if b is None:
-        return _planar_rec(f, m, policy, tracer, parent)
+        return _rec(f, m, policy, tracer, parent)
     # The right threshold is ~b. If a > ~b, both packing prefixes overrun
     # each other; every cut point between them leaves {r < a} packing <= k
     # and {l > a} packing <= m, so collapse to the single line x = a (the
@@ -333,9 +319,9 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
     node = tracer.add(parent, f, op="split-four", bound=bound, axis=0, lo=a, hi=b,
                       sizes=(len(parts.minus), len(parts.plusminus),
                              len(parts.plus), len(parts.zero)))
-    points = _planar_rec(parts.minus, k, policy, tracer, node)
-    points += _planar_rec(parts.plusminus, l, policy, tracer, node)
-    points += _planar_rec(parts.plus, m, policy, tracer, node)
+    points = _rec(parts.minus, k, policy, tracer, node)
+    points += _rec(parts.plusminus, l, policy, tracer, node)
+    points += _rec(parts.plus, m, policy, tracer, node)
     zero = BoxFamily(2, parts.zero.boxes, TwoLines(0, a, b))
     points += _two_line_sweep(zero, bound, tracer, node)
     return points
@@ -361,32 +347,41 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
 
 def _ddim_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
               tracer: _Tracer, parent: int | None) -> list[Point]:
-    if f.dim == 2:
-        return _planar_rec(f, bound, policy, tracer, parent)
+    k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, f.dim)
+    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
+    if a is None:  # nu(f) <= k: re-enter with the tight bound
+        return _rec(f, k, policy, tracer, parent)
+    minus, zero, plus = split_three(f, 0, a)
+    node = tracer.add(parent, f, op="split-three", bound=bound, axis=0, lo=a,
+                      sizes=(len(minus), len(zero), len(plus)))
+    points = _rec(minus, k, policy, tracer, node)
+    inner = _rec(project_onto_hyperplane(zero, 0, a), bound, policy, tracer, node)
+    points += lift_points(inner, 0, a)
+    points += _rec(plus, bound - k - 1, policy, tracer, node)
+    return points
+
+
+def _rec(f: BoxFamily, bound: int, policy: SplitPolicy,
+         tracer: _Tracer, parent: int | None) -> list[Point]:
+    """One recursion step for d >= 2, given a bound >= nu(f).
+
+    An empty family needs no point, and one with bound <= 1 is pairwise
+    intersecting, so one common point pierces it. Any other family is
+    split by `_planar_rec` in the plane and by `_ddim_rec` above it.
+    """
     if not len(f):
         return []
     if bound <= 1:
         tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
         return [common_point(f)]
-    k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, f.dim)
-    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
-    if a is None:  # nu(f) <= k: re-enter with the tight bound
-        return _ddim_rec(f, k, policy, tracer, parent)
-    minus, zero, plus = split_three(f, 0, a)
-    node = tracer.add(parent, f, op="split-three", bound=bound, axis=0, lo=a,
-                      sizes=(len(minus), len(zero), len(plus)))
-    points = _ddim_rec(minus, k, policy, tracer, node)
-    inner = _ddim_rec(project_onto_hyperplane(zero, 0, a), bound, policy, tracer, node)
-    points += lift_points(inner, 0, a)
-    points += _ddim_rec(plus, bound - k - 1, policy, tracer, node)
-    return points
+    return (_planar_rec if f.dim == 2 else _ddim_rec)(f, bound, policy, tracer, parent)
 
 
 def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     """Root of the planar and d-dim recursions (d >= 2): exact nu, then the guarantee it implies."""
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _ddim_rec(f, root_nu, policy, tracer, None)
+    points = _rec(f, root_nu, policy, tracer, None)
     balanced = policy is SplitPolicy.BALANCED
     if root_nu == 0:
         guarantee = 0.0

@@ -238,6 +238,9 @@ def test_csv_real_rule_six_decimals():
 def test_planar_rules_reject_low_max_d():
     with pytest.raises(ValueError):
         build_table(BoundRule.PROP3, 10, 1)
-    for rule, max_n, max_d in ((BoundRule.PROP1, 5, 0), (BoundRule.BEST_KNOWN, 4, -2)):
+    for rule, max_n, max_d in ((BoundRule.PROP1, 5, 0), (BoundRule.BEST_KNOWN, 4, -2),
+                               (BoundRule.LEMMA1, 5, 1)):
         with pytest.raises(ValueError, match="max_d"):
             build_table(rule, max_n, max_d)
+    with pytest.raises(ValueError, match="max_n"):
+        build_table(BoundRule.PROP1, 0, 3)

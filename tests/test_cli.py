@@ -21,6 +21,15 @@ def test_gen_gadget_parses():
     assert obj["meta"]["generator"].startswith("boxpierce.gadget")
 
 
+def test_gen_random_explicit_lines():
+    res = run("gen", "random", "--boxes", "6", "--two-line", "--lines", "7", "3")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["lines"] == {"axis": 1, "c1": 3, "c2": 7}
+    res = run("gen", "random", "--boxes", "6", "--lines", "3", "7")
+    assert res.returncode == 2 and not res.stdout
+    assert "two_line" in res.stderr
+
+
 def test_gen_deterministic_bytes():
     a = run("gen", "random", "--boxes", "6", "--seed", "9")
     b = run("gen", "random", "--boxes", "6", "--seed", "9")
@@ -299,6 +308,8 @@ _PINNED_STDOUT = {
     'random40 | pierce --algo ddim --policy dp': (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     'random40 | pierce --algo ddim --cap 64': (0, "86bc60417c83dc5c5cd66e5046e6bac5d8c794228206e08c622bb52b20c7caca"),
     'random40 | pierce --algo ddim --cap 64 | verify': (0, "23f97475c554fbfbc2a4451639edb5c8bbac30cb8b8ddc2c30176761c8bfd3cf"),
+    'random40 | pierce --algo ddim --policy dp --cap 64': (0, "ff887051a23a7633d7154eb3948c8f17bcbd92a984732813137603ffd1021e2a"),
+    'random40 | pierce --algo ddim --policy dp --cap 64 | verify': (0, "7cf05970046b5084a1fa0dd3dd1babb5fda0bdbde41e0b6a6271ab3b9247fb6a"),
     'gen random --boxes 48 --range 0 1000 --seed 5': (0, "ee282447705cd325737e216060e4d093daebb3f26279a2181d683bbe2797f466"),
     'random48 | pierce --algo planar --cap 64': (0, "5ac688b644fd4aed4b6f5435ea4e43cddeb194da960278f9af2f2315262c0b19"),
     'random48 | pierce --algo planar --cap 64 | verify': (0, "ce8d18b92c5f131c0d615919e529eca0c56400de1aec3ad357bc959870807f06"),
@@ -322,7 +333,8 @@ def test_stdout_bytes_are_pinned():
         inst = record(" ".join(gen), gen).stdout
         cases = [("nu",), ("tau",)] + [("pierce",) + p for p in _PIERCE]
         if name == "random40":  # over the default cap of 32 boxes
-            cases += [("nu", "--cap", "64"), ("pierce", "--algo", "ddim", "--cap", "64")]
+            cases += [("nu", "--cap", "64"), ("pierce", "--algo", "ddim", "--cap", "64"),
+                      ("pierce", "--algo", "ddim", "--policy", "dp", "--cap", "64")]
         elif name == "random48":  # planar, so its splits run threshold probes with k >= 2
             cases = [("pierce",) + p + ("--cap", "64") for p in _PIERCE[1:]]
         for args in cases:

@@ -266,7 +266,9 @@ def test_lazy_package_resolves_every_export():
 
 _GENS = {"gadget": ("gen", "gadget"), "extremal7": ("gen", "extremal", "7"),
          "random40": ("gen", "random", "--boxes", "40", "--dim", "3", "--seed", "5"),
-         "random48": ("gen", "random", "--boxes", "48", "--range", "0", "1000", "--seed", "5")}
+         "random48": ("gen", "random", "--boxes", "48", "--range", "0", "1000", "--seed", "5"),
+         "random80": ("gen", "random", "--boxes", "80", "--two-line", "--range", "0", "1000",
+                      "--seed", "3")}
 _PIERCE = [("--algo", "twoline"), ("--algo", "planar"), ("--algo", "planar", "--policy", "dp"),
            ("--algo", "ddim"), ("--algo", "ddim", "--policy", "dp")]
 # exit code and sha256 of stdout per invocation; "a | b" pipes a's stdout into b
@@ -319,6 +321,11 @@ _PINNED_STDOUT = {
     'random48 | pierce --algo ddim --cap 64 | verify': (0, "ce8d18b92c5f131c0d615919e529eca0c56400de1aec3ad357bc959870807f06"),
     'random48 | pierce --algo ddim --policy dp --cap 64': (0, "6d5dbc8e47794e7df96e7692c5bf8029b3d9f58247ce095b641a1f7d02f6b67a"),
     'random48 | pierce --algo ddim --policy dp --cap 64 | verify': (0, "04b1ae247eef9c5e1af36695f77ab8250a3900cdb532c558b0c0166482cfd404"),
+    'gen random --boxes 80 --two-line --range 0 1000 --seed 3': (0, "8e0ea1cae50f0ea0fa6b53fb01eebf6f3ac2a9896d0123911e77ef5b15966a38"),
+    'random80 | pierce --algo twoline --cap 80': (0, "e81522447ac349c9a4033c49cc18076835516035d54a741d24d85b250d67cdcd"),
+    'random80 | pierce --algo twoline --cap 80 | verify': (0, "fcb2d5533e8a9dd1cbf84bc42acefd2ceab64fc78d3d5d44b3b3142af9eb40bc"),
+    'random80 | pierce --algo planar --cap 80': (0, "832cde0578a294b57496c240d7eac6ddd8e4f845ed7d5af5ba0484fa3c253530"),
+    'random80 | pierce --algo planar --cap 80 | verify': (0, "d6055bf7c609611c32d1128e4d589dcfcc37c7f9fd3823e3c785d9981df78227"),
 }
 
 
@@ -337,6 +344,8 @@ def test_stdout_bytes_are_pinned():
                       ("pierce", "--algo", "ddim", "--policy", "dp", "--cap", "64")]
         elif name == "random48":  # planar, so its splits run threshold probes with k >= 2
             cases = [("pierce",) + p + ("--cap", "64") for p in _PIERCE[1:]]
+        elif name == "random80":  # two-line, so both sweeps run many rounds
+            cases = [("pierce",) + p + ("--cap", "80") for p in _PIERCE[:2]]
         for args in cases:
             key = f"{name} | {' '.join(args)}"
             res = record(key, args, inst)

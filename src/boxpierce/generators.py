@@ -80,7 +80,7 @@ class RandomSpec(_Value):
 
     def __init__(self, n_boxes: int, dim: int = 2, coord_range: tuple[int, int] = (0, 20),
                  seed: int = 0, two_line: bool = False, lines: tuple[int, int] | None = None):
-        for name, value in zip(self.__slots__, (n_boxes, dim, coord_range, seed, two_line, lines)):
+        for name, value in zip(self._fields, (n_boxes, dim, coord_range, seed, two_line, lines)):
             _set(self, name, value)
         if type(self.n_boxes) is not int or self.n_boxes < 0:
             raise ValueError(f"n_boxes must be a non-negative integer, got {self.n_boxes!r}")

@@ -27,13 +27,20 @@ def _check_coord(value, where: str) -> int:
 
 
 class _Value:
-    """Immutable value whose fields are its slots, set once by `__init__`; equal only
-    to its own class. Pickling and copying rebuild it through `__init__`."""
+    """Immutable value whose fields are the slots its classes declare, set once by
+    `__init__`; equal only to its own class. Pickling and copying rebuild it through
+    `__init__`."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kw):  # a subclass declaring `__slots__ = ()` keeps its base's fields
+        super().__init_subclass__(**kw)
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()))
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):  # equal iff both rebuild from the same call
         if other.__class__ is not self.__class__:
@@ -44,7 +51,7 @@ class _Value:
         return hash(self.__reduce__())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, *value):
@@ -80,10 +87,12 @@ class Point(_Value):
 
     def __init__(self, coords: tuple[int, ...]):
         coords = tuple(coords)
+        for c in coords:
+            if not (type(c) is int and -COORD_BOUND <= c < COORD_BOUND):
+                for i, x in enumerate(coords):  # name the first bad coordinate
+                    _check_coord(x, f"point coordinate {i}")
         if not coords:
             raise ValueError("point needs at least one coordinate")
-        for i, c in enumerate(coords):
-            _check_coord(c, f"point coordinate {i}")
         _set(self, "coords", coords)
 
     @property
@@ -222,24 +231,8 @@ def _check_axis(f: BoxFamily, axis: int) -> None:
         raise ValueError(f"axis {axis!r} out of range for dimension {f.dim}")
 
 
-def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:
-    """Partition into ({r < x}, {interval contains x}, {l > x}) on the axis.
-
-    Returns (minus, zero, plus) of `split_four(f, axis, x, x)`, whose
-    plusminus part is always empty at a = b; order within each part
-    preserves input order.
-    """
-    parts = split_four(f, axis, x, x)
-    return parts.minus, parts.zero, parts.plus
-
-
-def split_four(f: BoxFamily, axis: int, a: int, b: int) -> FourWaySplit:
-    """Partition at two coordinates a <= b on the axis.
-
-    Membership is decided in order: r < a -> minus; l > b -> plus;
-    (l > a and r < b) -> plusminus; everything else -> zero. Zero boxes
-    necessarily contain a or b on the axis.
-    """
+def _partition(f: BoxFamily, axis: int, a: int, b: int) -> tuple[list, list, list, list]:
+    """The (minus, plusminus, plus, zero) box lists of `split_four`, in input order."""
     _check_axis(f, axis)
     _check_coord(a, "split coordinate a")
     _check_coord(b, "split coordinate b")
@@ -256,14 +249,29 @@ def split_four(f: BoxFamily, axis: int, a: int, b: int) -> FourWaySplit:
             plusminus.append(box)
         else:
             zero.append(box)
-    return FourWaySplit(
-        minus=f.replace_boxes(minus, f.lines),
-        plusminus=f.replace_boxes(plusminus, f.lines),
-        plus=f.replace_boxes(plus, f.lines),
-        zero=f.replace_boxes(zero, f.lines),
-        a=a,
-        b=b,
-    )
+    return minus, plusminus, plus, zero
+
+
+def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:
+    """Partition into ({r < x}, {interval contains x}, {l > x}) on the axis.
+
+    The parts of `split_four(f, axis, x, x)` without its plusminus part,
+    which is always empty at a = b; order within each part preserves
+    input order.
+    """
+    minus, _, plus, zero = _partition(f, axis, x, x)
+    return tuple(f.replace_boxes(part, f.lines) for part in (minus, zero, plus))
+
+
+def split_four(f: BoxFamily, axis: int, a: int, b: int) -> FourWaySplit:
+    """Partition at two coordinates a <= b on the axis.
+
+    Membership is decided in order: r < a -> minus; l > b -> plus;
+    (l > a and r < b) -> plusminus; everything else -> zero. Zero boxes
+    necessarily contain a or b on the axis.
+    """
+    parts = (f.replace_boxes(part, f.lines) for part in _partition(f, axis, a, b))
+    return FourWaySplit(*parts, a, b)
 
 
 def project_onto_hyperplane(f: BoxFamily, axis: int, x: int) -> BoxFamily:

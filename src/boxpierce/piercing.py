@@ -29,34 +29,27 @@ positions discretely: the left threshold is the smallest right endpoint
 at which the prefix first packs k+1 pairwise-disjoint boxes, which
 keeps every inequality exact. The right threshold is the same search
 over the reflected left endpoints ~lo, since reflecting one axis changes
-no intersection. Probes with k <= 1 on either side need no search:
-"packs 1" means "non-empty", and "packs 2" means "not pairwise
-intersecting", a Helly test (max lo > min hi on some axis); this covers
-every round of the two-line sweep. Probes with k >= 2 bisect prefix
-lengths and ask only "packs k+1?": the branch and bound behind
-`nu_exact` answers, stopping at the first k+1 disjoint boxes. Split
-sizes under the DP-optimal policy come from the same tables that
-certify the guarantee (`split_prop3`, `split_prop1`). All tie-breaking
-is fixed (lowest axis, smallest coordinate, lowest box index), so runs
-are deterministic.
+no intersection. "Packs 1" means "non-empty", and "packs 2" means "not
+pairwise intersecting", one Helly scan in end order (`_helly_scan`).
+Probes with k >= 2 bisect prefix lengths and ask only "packs k+1?": the
+branch and bound behind `nu_exact` answers, stopping at the first k+1
+disjoint boxes. The two-line sweep sorts its boxes once and runs one
+Helly scan per round over a list of box indices, with no oracle call
+and no family built. Split sizes under the DP-optimal policy come from
+the tables that certify the guarantee (`split_prop3`, `split_prop1`).
+All tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
+index), so runs are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
-from .geometry import (
-    BoxFamily,
-    Point,
-    TwoLines,
-    _check_axis,
-    lift_points,
-    project_onto_hyperplane,
-    split_four,
-    split_three,
-)
+from .geometry import (BoxFamily, Point, TwoLines, _check_axis, lift_points,
+                       project_onto_hyperplane, split_four, split_three)
 from .oracles import (DEFAULT_CAP, _adjacency, _max_disjoint, check_cap, check_cap_value,
                       common_point, nu_exact)
 
@@ -108,10 +101,10 @@ class _Tracer:
     def __init__(self):
         self.nodes: list[TraceNode] = []
 
-    def add(self, parent: int | None, f: BoxFamily, **kw) -> int:
+    def add(self, parent: int | None, dim: int, **kw) -> int:
         node = len(self.nodes)
         depth = 0 if parent is None else self.nodes[parent].depth + 1
-        self.nodes.append(TraceNode(node=node, parent=parent, dim=f.dim, depth=depth, **kw))
+        self.nodes.append(TraceNode(node=node, parent=parent, dim=dim, depth=depth, **kw))
         return node
 
 
@@ -128,6 +121,26 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
+def _helly_scan(boxes, order) -> tuple[int | None, list[int]]:
+    """First box of `order` (non-empty) whose prefix packs 2, or None; and the running max lo.
+
+    Boxes pairwise intersect iff max lo <= min hi on every axis (Helly
+    per axis), so one pass keeping those extremes finds that box. With
+    None, the max lo per axis is a point in every box of `order`.
+    """
+    max_lo = [iv.lo for iv in boxes[order[0]].sides]
+    min_hi = [iv.hi for iv in boxes[order[0]].sides]
+    for i in order:
+        for ax, iv in enumerate(boxes[i].sides):
+            if iv.lo > max_lo[ax]:
+                max_lo[ax] = iv.lo
+            if iv.hi < min_hi[ax]:
+                min_hi[ax] = iv.hi
+            if max_lo[ax] > min_hi[ax]:
+                return i, max_lo
+    return None, max_lo
+
+
 def _threshold(boxes, ends, k: int) -> int | None:
     """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
@@ -140,12 +153,9 @@ def _threshold(boxes, ends, k: int) -> int | None:
     With a the answer, {end < a} packs at most k disjoint boxes while
     {end <= a} packs k+1.
 
-    For k <= 1 no search is needed. A prefix packs 1 iff it is
-    non-empty, so for k == 0 the answer is the smallest end. A prefix
-    packs 2 iff it is not pairwise intersecting, iff max lo > min hi on
-    some axis (Helly per axis). For k == 1, one scan in end order,
-    keeping those running extremes, returns the first end at which that
-    happens.
+    For k <= 1 no search is needed: a prefix packs 1 iff it is non-empty
+    (k == 0: the smallest end), and `_helly_scan` in end order finds the
+    first end at which a prefix packs 2 (k == 1).
 
     For k >= 2 the adjacency is built once, over the boxes in end order,
     so every prefix is a low-bit mask. The packing number of the first p
@@ -160,15 +170,8 @@ def _threshold(boxes, ends, k: int) -> int | None:
         return min(ends)
     order = sorted(range(len(boxes)), key=ends.__getitem__)
     if k == 1:
-        max_lo = [iv.lo for iv in boxes[order[0]].sides]
-        min_hi = [iv.hi for iv in boxes[order[0]].sides]
-        for i in order:
-            for ax, iv in enumerate(boxes[i].sides):
-                max_lo[ax] = max(max_lo[ax], iv.lo)
-                min_hi[ax] = min(min_hi[ax], iv.hi)
-                if max_lo[ax] > min_hi[ax]:
-                    return ends[i]
-        return None
+        i = _helly_scan(boxes, order)[0]
+        return None if i is None else ends[i]
     adj = _adjacency([boxes[i] for i in order])
 
     def packs(p: int) -> bool:  # do the first p boxes in end order pack k+1?
@@ -227,7 +230,7 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
         if not stabs or iv.lo > stabs[-1]:
             stabs.append(iv.hi)
     tracer = _Tracer()
-    tracer.add(None, f, op="sweep-1d", bound=len(stabs), sizes=(len(f),))
+    tracer.add(None, 1, op="sweep-1d", bound=len(stabs), sizes=(len(f),))
     return _report([Point((s,)) for s in stabs], len(stabs), len(stabs), tracer)
 
 
@@ -235,44 +238,42 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
 # two-line sweep
 
 
-def _line_point(sweep_axis: int, sweep_val: int, line_val: int) -> Point:
-    coords = [0, 0]
-    coords[sweep_axis] = sweep_val
-    coords[1 - sweep_axis] = line_val
-    return Point(tuple(coords))
+def _two_line_sweep(boxes, lines: TwoLines, bound: int, tracer: _Tracer,
+                    parent: int | None) -> list[Point]:
+    """Sweep planar `boxes`, each meeting a line of `lines`, orthogonally to the lines.
 
-
-def _two_line_sweep(f: BoxFamily, bound: int, tracer: _Tracer, parent: int | None) -> list[Point]:
-    """Sweep orthogonally to the certificate lines; bound >= nu(f) is required.
-
-    Per round: the strict prefix below the threshold packs at most one
-    disjoint box, so one common point covers it; the boxes crossing the
-    threshold each meet a line, so the two crossing points cover them;
-    the suffix lost two disjoint boxes, so its bound drops by 2. Each
-    round's threshold is a k == 1 probe, i.e. the Helly test of
-    `_threshold`, so the sweep itself never calls the exact oracle.
-    Once the bound is at most 1 the remaining boxes pairwise intersect,
-    so the probe finds no threshold and one common point ends the sweep.
+    bound >= nu(boxes) is required. The boxes are sorted once by right
+    end on the sweep axis (ties by index); the boxes not yet pierced stay
+    an index list in that order. Per round, the k == 1 threshold t is
+    one Helly scan of that list. The boxes with r < t, a prefix, pack at
+    most one disjoint box, so their common point covers them; the boxes
+    containing t each meet a line, so the two points (t, line) cover
+    them; the boxes with l > t lost two disjoint boxes, so their bound
+    drops by 2. Once the bound is at most 1 the remaining boxes pairwise
+    intersect, so the scan finds no threshold and their common point
+    ends the sweep. No round sorts, calls an oracle or builds a family.
     """
-    lines = f.lines
-    sweep_axis = 1 - lines.axis
+    ax = 1 - lines.axis
+    los = [box.sides[ax].lo for box in boxes]
+    his = [box.sides[ax].hi for box in boxes]
+    remaining = sorted(range(len(boxes)), key=his.__getitem__)
     points: list[Point] = []
-    remaining, b = f, bound
-    while len(remaining):
-        t = _threshold(remaining.boxes, [box.sides[sweep_axis].hi for box in remaining.boxes], 1)
-        if t is None:
-            points.append(common_point(remaining))
-            tracer.add(parent, remaining, op="common-point", bound=b, sizes=(len(remaining),))
+    while remaining:
+        i, corner = _helly_scan(boxes, remaining)
+        if i is None:
+            points.append(Point(tuple(corner)))
+            tracer.add(parent, 2, op="common-point", bound=bound, sizes=(len(remaining),))
             break
-        minus, zero, plus = split_three(remaining, sweep_axis, t)
-        if len(minus):
-            points.append(common_point(minus))
-        points.append(_line_point(sweep_axis, t, lines.c1))
-        if lines.c2 != lines.c1:
-            points.append(_line_point(sweep_axis, t, lines.c2))
-        parent = tracer.add(parent, remaining, op="two-line-step", bound=b, axis=sweep_axis,
-                            lo=t, sizes=(len(minus), len(zero), len(plus)))
-        remaining, b = plus, b - 2
+        t = his[i]
+        n_minus = bisect_left(remaining, t, key=his.__getitem__)
+        plus = [j for j in remaining[n_minus:] if los[j] > t]
+        if n_minus:
+            points.append(Point(tuple(_helly_scan(boxes, remaining[:n_minus])[1])))
+        for c in sorted({lines.c1, lines.c2}):
+            points.append(Point((t, c) if ax == 0 else (c, t)))
+        parent = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax, lo=t,
+                            sizes=(n_minus, len(remaining) - n_minus - len(plus), len(plus)))
+        remaining, bound = plus, bound - 2
     return points
 
 
@@ -287,7 +288,7 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
         raise ValueError("family carries no two-line certificate")
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _two_line_sweep(f, root_nu, tracer, None)
+    points = _two_line_sweep(f.boxes, f.lines, root_nu, tracer, None)
     return _report(points, (3 * root_nu) // 2, root_nu, tracer)
 
 
@@ -316,14 +317,13 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
     # middle part is then empty and the crossing boxes form a one-line family).
     b = max(a, ~b)
     parts = split_four(f, 0, a, b)
-    node = tracer.add(parent, f, op="split-four", bound=bound, axis=0, lo=a, hi=b,
+    node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
                       sizes=(len(parts.minus), len(parts.plusminus),
                              len(parts.plus), len(parts.zero)))
     points = _rec(parts.minus, k, policy, tracer, node)
     points += _rec(parts.plusminus, l, policy, tracer, node)
     points += _rec(parts.plus, m, policy, tracer, node)
-    zero = BoxFamily(2, parts.zero.boxes, TwoLines(0, a, b))
-    points += _two_line_sweep(zero, bound, tracer, node)
+    points += _two_line_sweep(parts.zero.boxes, TwoLines(0, a, b), bound, tracer, node)
     return points
 
 
@@ -352,7 +352,7 @@ def _ddim_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
     if a is None:  # nu(f) <= k: re-enter with the tight bound
         return _rec(f, k, policy, tracer, parent)
     minus, zero, plus = split_three(f, 0, a)
-    node = tracer.add(parent, f, op="split-three", bound=bound, axis=0, lo=a,
+    node = tracer.add(parent, f.dim, op="split-three", bound=bound, axis=0, lo=a,
                       sizes=(len(minus), len(zero), len(plus)))
     points = _rec(minus, k, policy, tracer, node)
     inner = _rec(project_onto_hyperplane(zero, 0, a), bound, policy, tracer, node)
@@ -372,7 +372,7 @@ def _rec(f: BoxFamily, bound: int, policy: SplitPolicy,
     if not len(f):
         return []
     if bound <= 1:
-        tracer.add(parent, f, op="common-point", bound=bound, sizes=(len(f),))
+        tracer.add(parent, f.dim, op="common-point", bound=bound, sizes=(len(f),))
         return [common_point(f)]
     return (_planar_rec if f.dim == 2 else _ddim_rec)(f, bound, policy, tracer, parent)
 

@@ -23,6 +23,8 @@ from boxpierce import (
     pierce_intervals_1d,
     pierce_planar,
     pierce_two_lines,
+    split_four,
+    split_three,
     tau_exact,
 )
 from boxpierce import piercing
@@ -325,6 +327,27 @@ def test_two_line_sweep_solves_nu_only_at_the_root(monkeypatch):
     rep = pierce_two_lines(gen_extremal_two_line(16), cap=40)
     assert calls == [40]
     assert rep.size == 24 and rep.guarantee == 24
+
+
+def test_families_built_by_splits_and_sweeps(monkeypatch):
+    built = []
+    post_init = BoxFamily.__post_init__
+
+    def counted_post_init(f):
+        built.append(len(f))
+        post_init(f)
+
+    fam = gen_random(RandomSpec(40, 2, (0, 1000), seed=3, two_line=True))
+    monkeypatch.setattr(BoxFamily, "__post_init__", counted_post_init)
+    assert len(split_three(fam, 0, 500)) == 3 and len(built) == 3
+    assert len(split_four(fam, 0, 300, 600)) == 6 and len(built) == 7
+    rep = pierce_two_lines(fam, cap=40)  # the sweep builds no family in any round
+    assert len(built) == 7 and [t.op for t in rep.trace].count("two-line-step") >= 3
+    for policy in SplitPolicy:  # each planar split builds its four parts, its sweep none
+        del built[:]
+        rep = pierce_planar(fam, policy, cap=40)
+        splits = [t.op for t in rep.trace].count("split-four")
+        assert splits >= 3 and len(built) == 4 * splits
 
 
 # --- planar recursion ----------------------------------------------------------

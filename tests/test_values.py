@@ -83,6 +83,22 @@ def test_pickle_and_copy_round_trip():
             assert type(c) is cls and c == value and hash(c) == hash(value), cls
 
 
+class _Spec(RandomSpec):  # declares no field of its own
+    __slots__ = ()
+
+
+def test_subclass_without_slots_of_its_own_keeps_its_base_fields():
+    spec = _Spec(5, 3, (0, 9), 3)
+    assert (spec.n_boxes, spec.dim, spec.coord_range, spec.seed) == (5, 3, (0, 9), 3)
+    assert spec == _Spec(5, 3, (0, 9), 3) and hash(spec) == hash(_Spec(5, 3, (0, 9), 3))
+    assert spec != _Spec(6, 3, (0, 9), 3) and spec != RandomSpec(5, 3, (0, 9), 3)
+    assert repr(spec) == ("_Spec(n_boxes=5, dim=3, coord_range=(0, 9), seed=3, "
+                          "two_line=False, lines=None)")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(spec, protocol))
+        assert type(copied) is _Spec and copied == spec
+
+
 def test_records_are_tuples_that_unpack():
     nu, witness = nu_exact(gen_gadget())
     assert (nu, witness) == (2, (0, 2))

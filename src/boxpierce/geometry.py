@@ -27,14 +27,12 @@ def _check_coord(value, where: str) -> int:
 
 
 class _Value:
-    """Immutable value whose fields are the slots its classes declare, set once by
-    `__init__`; equal only to its own class. Pickling and copying rebuild it through
-    `__init__`."""
+    """Immutable value whose fields are the slots its classes declare, set once by `__init__`;
+    equal only to its own class. Pickling and copying rebuild it through `__init__`."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kw):  # a subclass declaring `__slots__ = ()` keeps its base's fields
+    def __init_subclass__(cls, **kw):  # so a subclass with `__slots__ = ()` keeps its fields
         super().__init_subclass__(**kw)
         cls._fields = tuple(name for c in reversed(cls.__mro__)
                             for name in c.__dict__.get("__slots__", ()))
@@ -255,9 +253,8 @@ def _partition(f: BoxFamily, axis: int, a: int, b: int) -> tuple[list, list, lis
 def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:
     """Partition into ({r < x}, {interval contains x}, {l > x}) on the axis.
 
-    The parts of `split_four(f, axis, x, x)` without its plusminus part,
-    which is always empty at a = b; order within each part preserves
-    input order.
+    The parts of `split_four(f, axis, x, x)` but its plusminus part, empty
+    at a = b; order within each part preserves input order.
     """
     minus, _, plus, zero = _partition(f, axis, x, x)
     return tuple(f.replace_boxes(part, f.lines) for part in (minus, zero, plus))

@@ -247,7 +247,7 @@ def _two_line_sweep(boxes, lines: TwoLines, bound: int, tracer: _Tracer,
     an index list in that order. Per round, the k == 1 threshold t is
     one Helly scan of that list. The boxes with r < t, a prefix, pack at
     most one disjoint box, so their common point covers them; the boxes
-    containing t each meet a line, so the two points (t, line) cover
+    containing t each meet a line, so the points at t on the lines cover
     them; the boxes with l > t lost two disjoint boxes, so their bound
     drops by 2. Once the bound is at most 1 the remaining boxes pairwise
     intersect, so the scan finds no threshold and their common point

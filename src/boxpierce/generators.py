@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .geometry import Box, BoxFamily, Interval, TwoLines, _set, _Value
+from .geometry import COORD_BOUND, Box, BoxFamily, Interval, TwoLines, _checked_box, _set, _Value
 
 GADGET_TAG = "boxpierce.gadget/v1"
 EXTREMAL_TAG = "boxpierce.extremal/v1"
@@ -87,14 +87,14 @@ class RandomSpec(_Value):
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         lo, hi = self.coord_range
-        if lo > hi:
-            raise ValueError(f"empty coordinate range: {self.coord_range}")
+        if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
+            raise ValueError(f"coordinate range needs 64-bit ints lo <= hi, got {self.coord_range}")
         if self.two_line:
             if self.dim != 2:
                 raise ValueError("two-line instances are planar; need dim=2")
             c1, c2 = self.effective_lines()
-            if not (lo <= c1 <= c2 <= hi):
-                raise ValueError(f"lines {c1}, {c2} outside coordinate range {self.coord_range}")
+            if not (type(c1) is int and type(c2) is int and lo <= c1 <= c2 <= hi):
+                raise ValueError(f"lines {c1!r}, {c2!r} are not ints inside {self.coord_range}")
         elif self.lines is not None:
             raise ValueError("lines are only used by two-line instances; need two_line=True")
 
@@ -106,36 +106,48 @@ class RandomSpec(_Value):
         return (lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3)
 
 
+def _draws(rng: random.Random, lo: int, hi: int):
+    """A function drawing what `rng.randint(lo, hi)` draws, by the rule in `gen_random`."""
+    getrandbits, width = rng.getrandbits, hi - lo + 1
+    k = width.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return lo + r
+    return draw
+
+
 def gen_random(spec: RandomSpec) -> BoxFamily:
     """Random family, byte-for-byte reproducible under a fixed spec.
 
-    Per box and axis, two endpoints are drawn uniformly from the
-    coordinate range and swapped into order; degenerate intervals are
-    allowed. The draw order (endpoints, then the two-line clamp choice,
-    box by box) is part of the format contract.
+    Per box and axis, two endpoints are drawn from the coordinate range
+    (two ints lo <= hi inside the 64-bit range; RandomSpec refuses any
+    other) and swapped into order; degenerate intervals are allowed. The
+    format contract fixes the draw order (endpoints, then the two-line
+    clamp choice, box by box) and each draw: `lo + r`, with r the first
+    `rng.getrandbits(k)` below `width = hi - lo + 1`, `k = width.bit_length()`
+    and `rng = random.Random(seed)`; the clamp choice draws over (0, 1), 0
+    choosing c1. This is `Random.randint`'s rule on CPython 3.10-3.13, so
+    a width of 1 still draws `getrandbits(1)`.
     """
     rng = random.Random(spec.seed)
-    lo, hi = spec.coord_range
+    coord, coin = _draws(rng, *spec.coord_range), _draws(rng, 0, 1)
     c1 = c2 = 0
     if spec.two_line:
         c1, c2 = spec.effective_lines()
     boxes = []
     for _ in range(spec.n_boxes):
-        sides = []
+        bounds = []
         for _ax in range(spec.dim):
-            u, v = rng.randint(lo, hi), rng.randint(lo, hi)
-            if u > v:
-                u, v = v, u
-            sides.append(Interval(u, v))
+            u, v = coord(), coord()
+            bounds.append((u, v) if u <= v else (v, u))
         if spec.two_line:
-            c = c1 if rng.randint(0, 1) == 0 else c2
-            iv = sides[1]
-            if iv.lo > c:
-                iv = Interval(c, iv.hi)
-            elif iv.hi < c:
-                iv = Interval(iv.lo, c)
-            sides[1] = iv
-        boxes.append(Box(tuple(sides)))
+            c = c2 if coin() else c1
+            u, v = bounds[1]
+            bounds[1] = (min(u, c), max(v, c))
+        boxes.append(_checked_box(bounds))  # in range by RandomSpec's checks
     lines = TwoLines(axis=1, c1=c1, c2=c2) if spec.two_line else None
     return BoxFamily(spec.dim, tuple(boxes), lines)
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 COORD_BOUND = 2**63
 _set = object.__setattr__
+_new = object.__new__
 
 
 def _check_coord(value, where: str) -> int:
@@ -128,6 +129,20 @@ class Box(_Value):
         return all(iv.contains(c) for iv, c in zip(self.sides, p.coords))
 
 
+def _checked_box(bounds) -> Box:
+    """The Box of one (lo, hi) pair per axis, built without re-checking: the caller has
+    checked that there is a pair and that each is two ints lo <= hi in the 64-bit range."""
+    sides = []
+    for lo, hi in bounds:
+        iv = _new(Interval)
+        _set(iv, "lo", lo)
+        _set(iv, "hi", hi)
+        sides.append(iv)
+    box = _new(Box)
+    _set(box, "sides", tuple(sides))
+    return box
+
+
 def intersects(p: Box, q: Box) -> bool:
     """Closed-box overlap test: true iff the intervals overlap on every axis.
 
@@ -174,7 +189,7 @@ class BoxFamily(_Value):
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"family dimension must be a positive integer, got {self.dim!r}")
         for i, b in enumerate(self.boxes):
-            if b.dim != self.dim:
+            if len(b.sides) != self.dim:
                 raise ValueError(f"box {i} has dimension {b.dim}, family has {self.dim}")
         if self.lines is not None:
             ln = self.lines

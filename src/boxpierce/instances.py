@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
-from .geometry import Box, BoxFamily, Interval, Point, TwoLines
+from .geometry import COORD_BOUND, Box, BoxFamily, Interval, Point, TwoLines, _checked_box
 
 if TYPE_CHECKING:
     from .piercing import PierceReport
@@ -149,15 +149,13 @@ def obj_to_instance(obj: Any) -> Instance:
     for i, raw in enumerate(raw_boxes):
         if not isinstance(raw, list) or len(raw) != dim:
             raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
-        sides = []
         for ax, pair in enumerate(raw):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InstanceFormatError(f"boxes[{i}][{ax}]: expected an [lo, hi] pair")
-            try:
-                sides.append(Interval(*pair))
-            except ValueError as exc:
-                raise InstanceFormatError(f"boxes[{i}][{ax}]: {exc}") from exc
-        boxes.append(Box(sides))
+            lo, hi = pair
+            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
+                _build(Interval, pair, "boxes[{}][{}]", i, ax)  # raises Interval's own message
+        boxes.append(_checked_box(raw))
     lines = None
     if obj.get("lines") is not None:
         raw_lines = obj["lines"]

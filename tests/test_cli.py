@@ -30,6 +30,13 @@ def test_gen_random_explicit_lines():
     assert "two_line" in res.stderr
 
 
+def test_gen_random_refuses_a_range_past_64_bits():
+    for lo, hi in (("0", str(2**63)), (str(-2**64), "0"), ("5", "1")):
+        res = run("gen", "random", "--boxes", "3", "--range", lo, hi)
+        assert res.returncode == 2 and not res.stdout
+        assert "coordinate range" in res.stderr
+
+
 def test_gen_deterministic_bytes():
     a = run("gen", "random", "--boxes", "6", "--seed", "9")
     b = run("gen", "random", "--boxes", "6", "--seed", "9")
@@ -268,7 +275,9 @@ _GENS = {"gadget": ("gen", "gadget"), "extremal7": ("gen", "extremal", "7"),
          "random40": ("gen", "random", "--boxes", "40", "--dim", "3", "--seed", "5"),
          "random48": ("gen", "random", "--boxes", "48", "--range", "0", "1000", "--seed", "5"),
          "random80": ("gen", "random", "--boxes", "80", "--two-line", "--range", "0", "1000",
-                      "--seed", "3")}
+                      "--seed", "3"),
+         # the default range (0, 20) has width 21, so 11 of every 32 getrandbits(5) draws redraw
+         "random200": ("gen", "random", "--boxes", "200", "--dim", "1", "--seed", "5")}
 _PIERCE = [("--algo", "twoline"), ("--algo", "planar"), ("--algo", "planar", "--policy", "dp"),
            ("--algo", "ddim"), ("--algo", "ddim", "--policy", "dp")]
 # exit code and sha256 of stdout per invocation; "a | b" pipes a's stdout into b
@@ -326,6 +335,7 @@ _PINNED_STDOUT = {
     'random80 | pierce --algo twoline --cap 80 | verify': (0, "fcb2d5533e8a9dd1cbf84bc42acefd2ceab64fc78d3d5d44b3b3142af9eb40bc"),
     'random80 | pierce --algo planar --cap 80': (0, "832cde0578a294b57496c240d7eac6ddd8e4f845ed7d5af5ba0484fa3c253530"),
     'random80 | pierce --algo planar --cap 80 | verify': (0, "d6055bf7c609611c32d1128e4d589dcfcc37c7f9fd3823e3c785d9981df78227"),
+    'gen random --boxes 200 --dim 1 --seed 5': (0, "9be2999b6d511f7fabbfd2e141462ca854bfdafece985f5de8dc2d680b7bc2e0"),
 }
 
 
@@ -346,6 +356,8 @@ def test_stdout_bytes_are_pinned():
             cases = [("pierce",) + p + ("--cap", "64") for p in _PIERCE[1:]]
         elif name == "random80":  # two-line, so both sweeps run many rounds
             cases = [("pierce",) + p + ("--cap", "80") for p in _PIERCE[:2]]
+        elif name == "random200":  # the generator's bytes only
+            cases = []
         for args in cases:
             key = f"{name} | {' '.join(args)}"
             res = record(key, args, inst)

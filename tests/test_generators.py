@@ -1,13 +1,19 @@
 """Generators: gadget structure, extremal scaling, random reproducibility."""
 
 import itertools
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxpierce import (
+    Box,
+    BoxFamily,
+    Interval,
     RandomSpec,
+    TwoLines,
     gen_extremal_two_line,
     gen_gadget,
     gen_random,
@@ -123,3 +129,75 @@ def test_random_within_range_and_ordered(n_boxes, dim, seed):
     for b in f.boxes:
         for iv in b.sides:
             assert -5 <= iv.lo <= iv.hi <= 9
+
+
+# --- the draw rule ---------------------------------------------------------------
+
+def _gen_random_by_randint(spec):
+    """`gen_random` as a loop of `Random.randint` calls, the reference its draws must match."""
+    rng = random.Random(spec.seed)
+    lo, hi = spec.coord_range
+    c1 = c2 = 0
+    if spec.two_line:
+        c1, c2 = spec.effective_lines()
+    boxes = []
+    for _ in range(spec.n_boxes):
+        sides = []
+        for _ax in range(spec.dim):
+            u, v = rng.randint(lo, hi), rng.randint(lo, hi)
+            if u > v:
+                u, v = v, u
+            sides.append(Interval(u, v))
+        if spec.two_line:
+            c = c1 if rng.randint(0, 1) == 0 else c2
+            iv = sides[1]
+            if iv.lo > c:
+                iv = Interval(c, iv.hi)
+            elif iv.hi < c:
+                iv = Interval(iv.lo, c)
+            sides[1] = iv
+        boxes.append(Box(tuple(sides)))
+    lines = TwoLines(axis=1, c1=c1, c2=c2) if spec.two_line else None
+    return BoxFamily(spec.dim, tuple(boxes), lines)
+
+
+# widths 1 and 2, powers of two (k = 11 at width 1024), negative and full 64-bit ranges
+_RANGES = [(5, 5), (-3, -2), (0, 1023), (0, 1024), (0, 1022), (-1000, -1), (0, 20),
+           (-2**63, 2**63 - 1), (2**63 - 3, 2**63 - 1)]
+
+
+@pytest.mark.parametrize("coord_range", _RANGES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_draws_match_randint(coord_range, dim):
+    for seed in range(12):
+        spec = RandomSpec(n_boxes=seed + 1, dim=dim, coord_range=coord_range, seed=seed)
+        assert gen_random(spec) == _gen_random_by_randint(spec)
+
+
+@pytest.mark.parametrize("coord_range", _RANGES)
+def test_two_line_draws_match_randint(coord_range):
+    lo, hi = coord_range
+    for seed in range(12):
+        for lines in (None, (hi, lo), (lo, lo), (hi, hi)):
+            spec = RandomSpec(n_boxes=seed + 1, coord_range=coord_range, seed=seed,
+                              two_line=True, lines=lines)
+            assert gen_random(spec) == _gen_random_by_randint(spec)
+
+
+@pytest.mark.parametrize("coord_range", [
+    (0, 2**63), (-2**63 - 1, 0), (-2**64, 0), (0, 2**64),  # outside the 64-bit range
+    (True, 5), (0, False),  # bools are not coordinates
+    (0.5, 3.0), (0, 3.0),  # nor are floats
+    (5, 1),  # empty
+])
+def test_random_spec_refuses_ranges_outside_the_contract(coord_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no DeprecationWarning from inside `random`
+        with pytest.raises(ValueError, match="coordinate range"):
+            RandomSpec(n_boxes=3, coord_range=coord_range)
+
+
+@pytest.mark.parametrize("lines", [(0.5, 3), (2, True), (-1, 5), (3, 21)])
+def test_random_spec_refuses_lines_outside_the_contract(lines):
+    with pytest.raises(ValueError, match="lines"):
+        RandomSpec(n_boxes=3, coord_range=(0, 20), two_line=True, lines=lines)

@@ -108,6 +108,30 @@ def test_invalid_field_names_its_location(parse, doc, where):
     assert str(info.value).startswith(f"{where}: ")
 
 
+# a 10,000-row document whose row 5,000 is malformed
+_ROWS = [[[i, i + 3], [2 * i, 2 * i + 1]] for i in range(10_000)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0, 1], [True, 5]], "boxes[5000][1]: interval lo: coordinate must be an integer, got True"),
+    ([[0, 1], [0, 1.5]], "boxes[5000][1]: interval hi: coordinate must be an integer, got 1.5"),
+    ([[0, 1], [4, 3]], "boxes[5000][1]: interval has lo > hi: [4, 3]"),
+    ([[0, 1], [0, 2**63]],
+     "boxes[5000][1]: interval hi: coordinate 9223372036854775808 outside 64-bit range"),
+    ([[0, 1], [-2**63 - 1, 0]],
+     "boxes[5000][1]: interval lo: coordinate -9223372036854775809 outside 64-bit range"),
+    ([[0, 1], [0, 1, 2]], "boxes[5000][1]: expected an [lo, hi] pair"),
+    ([[0, 1], "ab"], "boxes[5000][1]: expected an [lo, hi] pair"),
+    ({"lo": 0}, "boxes[5000]: expected 2 [lo, hi] pairs"),
+    ([[0, 1]], "boxes[5000]: expected 2 [lo, hi] pairs"),
+], ids=["bool", "float", "reversed", "2^63", "-2^63-1", "pair-of-3", "pair-not-a-list",
+        "row-not-a-list", "row-of-dim-1"])
+def test_malformed_row_deep_in_a_document_is_located(bad, message):
+    with pytest.raises(InstanceFormatError) as info:
+        _instance({"dim": 2, "boxes": _ROWS[:5000] + [bad] + _ROWS[5001:]})
+    assert str(info.value) == message
+
+
 _slot = st.one_of(st.integers(-2**64, 2**64), st.floats(), st.booleans(), st.none(),
                   st.text(max_size=3))
 

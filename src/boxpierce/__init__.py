@@ -39,9 +39,8 @@ _EXPORTS = {
         "common_point", "nu_exact", "tau_exact",
     ), "oracles"),
     **dict.fromkeys((
-        "PierceReport", "SplitPolicy", "TraceNode", "find_threshold",
-        "find_threshold_hi", "pierce_ddim", "pierce_intervals_1d", "pierce_planar",
-        "pierce_two_lines",
+        "PierceReport", "SplitPolicy", "TraceNode", "pierce_ddim", "pierce_intervals_1d",
+        "pierce_planar", "pierce_two_lines",
     ), "piercing"),
 }
 

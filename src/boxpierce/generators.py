@@ -86,6 +86,8 @@ class RandomSpec(_Value):
             raise ValueError(f"n_boxes must be a non-negative integer, got {self.n_boxes!r}")
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        if type(self.seed) is not int:  # None would seed from the clock, unrepeatably
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         lo, hi = self.coord_range
         if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
             raise ValueError(f"coordinate range needs 64-bit ints lo <= hi, got {self.coord_range}")

@@ -108,6 +108,9 @@ class Box(_Value):
         sides = tuple(sides)
         if not sides:
             raise ValueError("box needs at least one axis")
+        for iv in sides:
+            if not isinstance(iv, Interval):
+                raise ValueError(f"box side {sides.index(iv)} must be an Interval, got {iv!r}")
         _set(self, "sides", sides)
 
     @classmethod
@@ -189,8 +192,9 @@ class BoxFamily(_Value):
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"family dimension must be a positive integer, got {self.dim!r}")
         for i, b in enumerate(self.boxes):
-            if len(b.sides) != self.dim:
-                raise ValueError(f"box {i} has dimension {b.dim}, family has {self.dim}")
+            if not isinstance(b, Box) or len(b.sides) != self.dim:
+                raise ValueError(f"box {i} has dimension {b.dim}, family has {self.dim}"
+                                 if isinstance(b, Box) else f"box {i} must be a Box, got {b!r}")
         if self.lines is not None:
             ln = self.lines
             if ln.axis >= self.dim:

@@ -45,6 +45,8 @@ def _loads(text: str) -> Any:
         return json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise InstanceFormatError("invalid JSON: nested too deeply") from None
 
 
 def _build(make, args, where: str, *at):

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from operator import or_
 from typing import NamedTuple
 
-from .geometry import BoxFamily, Point
+from .geometry import BoxFamily, Point, intersects
 
 DEFAULT_CAP = 32
 
@@ -249,26 +249,36 @@ def tau_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> TauResult:
     raise AssertionError("unreachable: piercing with one point per box must exist")
 
 
-def common_point(f: BoxFamily) -> Point:
-    """A point in every member of a pairwise-intersecting family.
+def _helly_scan(boxes, order) -> tuple[int | None, list[int]]:
+    """First box of `order` (non-empty) whose prefix packs 2, or None; and the running max lo.
 
-    Boxes have the Helly property per axis (intervals pairwise overlap
-    iff they share a point), so the coordinate-wise maximum of left
-    endpoints works whenever max lo <= min hi on every axis. On the first
-    axis where that fails, the boxes holding max lo and min hi are a
-    disjoint pair, and the error names them.
+    Boxes pairwise intersect iff max lo <= min hi on every axis (Helly
+    per axis), so one pass keeping those extremes finds that box. With
+    None, the max lo per axis is a point in every box of `order`.
+    """
+    max_lo = [iv.lo for iv in boxes[order[0]].sides]
+    min_hi = [iv.hi for iv in boxes[order[0]].sides]
+    for i in order:
+        for ax, iv in enumerate(boxes[i].sides):
+            if iv.lo > max_lo[ax]:
+                max_lo[ax] = iv.lo
+            if iv.hi < min_hi[ax]:
+                min_hi[ax] = iv.hi
+            if max_lo[ax] > min_hi[ax]:
+                return i, max_lo
+    return None, max_lo
+
+
+def common_point(f: BoxFamily) -> Point:
+    """A point in every member of a pairwise-intersecting family: the max lo per axis.
+
+    Else the error names box i, the first that an earlier box misses (one
+    `_helly_scan` in index order), and j < i, the first box disjoint from i.
     """
     if not f.boxes:
         raise ValueError("common point of an empty family is undefined")
-    boxes = f.boxes
-    coords = []
-    for ax in range(f.dim):
-        # max/min keep the lowest index among ties
-        i_lo = max(range(len(boxes)), key=lambda i: boxes[i].sides[ax].lo)
-        i_hi = min(range(len(boxes)), key=lambda i: boxes[i].sides[ax].hi)
-        lo = boxes[i_lo].sides[ax].lo
-        if lo > boxes[i_hi].sides[ax].hi:
-            i, j = sorted((i_lo, i_hi))
-            raise ValueError(f"boxes {i} and {j} are disjoint; no common point exists")
-        coords.append(lo)
-    return Point(tuple(coords))
+    i, corner = _helly_scan(f.boxes, range(len(f)))
+    if i is None:
+        return Point(tuple(corner))
+    j = next(j for j in range(i) if not intersects(f.boxes[j], f.boxes[i]))
+    raise ValueError(f"boxes {j} and {i} are disjoint; no common point exists")

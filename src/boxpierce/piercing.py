@@ -30,7 +30,7 @@ at which the prefix first packs k+1 pairwise-disjoint boxes, which
 keeps every inequality exact. The right threshold is the same search
 over the reflected left endpoints ~lo, since reflecting one axis changes
 no intersection. "Packs 1" means "non-empty", and "packs 2" means "not
-pairwise intersecting", one Helly scan in end order (`_helly_scan`).
+pairwise intersecting", one Helly scan in end order (`oracles._helly_scan`).
 Probes with k >= 2 bisect prefix lengths and ask only "packs k+1?": the
 branch and bound behind `nu_exact` answers, stopping at the first k+1
 disjoint boxes. The two-line sweep sorts its boxes once and runs one
@@ -48,9 +48,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
-from .geometry import (BoxFamily, Point, TwoLines, _check_axis, lift_points,
-                       project_onto_hyperplane, split_four, split_three)
-from .oracles import (DEFAULT_CAP, _adjacency, _max_disjoint, check_cap, check_cap_value,
+from .geometry import (BoxFamily, Point, TwoLines, lift_points, project_onto_hyperplane,
+                       split_four, split_three)
+from .oracles import (DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, check_cap_value,
                       common_point, nu_exact)
 
 
@@ -121,26 +121,6 @@ def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
-def _helly_scan(boxes, order) -> tuple[int | None, list[int]]:
-    """First box of `order` (non-empty) whose prefix packs 2, or None; and the running max lo.
-
-    Boxes pairwise intersect iff max lo <= min hi on every axis (Helly
-    per axis), so one pass keeping those extremes finds that box. With
-    None, the max lo per axis is a point in every box of `order`.
-    """
-    max_lo = [iv.lo for iv in boxes[order[0]].sides]
-    min_hi = [iv.hi for iv in boxes[order[0]].sides]
-    for i in order:
-        for ax, iv in enumerate(boxes[i].sides):
-            if iv.lo > max_lo[ax]:
-                max_lo[ax] = iv.lo
-            if iv.hi < min_hi[ax]:
-                min_hi[ax] = iv.hi
-            if max_lo[ax] > min_hi[ax]:
-                return i, max_lo
-    return None, max_lo
-
-
 def _threshold(boxes, ends, k: int) -> int | None:
     """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
@@ -187,28 +167,6 @@ def _threshold(boxes, ends, k: int) -> int | None:
         else:
             lo = mid + 1
     return ends[order[lo - 1]]
-
-
-def _checked_threshold(f: BoxFamily, axis: int, k: int, cap: int, end) -> int:
-    """`_threshold` over `end` of each box's side on `axis`, behind the public checks."""
-    _check_axis(f, axis)
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    check_cap(f, cap)
-    t = _threshold(f.boxes, [end(b.sides[axis]) for b in f.boxes], k)
-    if t is None:
-        raise ValueError(f"no threshold: the family packs at most {k} disjoint boxes")
-    return t
-
-
-def find_threshold(f: BoxFamily, axis: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """Smallest right endpoint a with nu({r <= a}) >= k+1; raises if the packing number is <= k."""
-    return _checked_threshold(f, axis, k, cap, lambda iv: iv.hi)
-
-
-def find_threshold_hi(f: BoxFamily, axis: int, m: int, cap: int = DEFAULT_CAP) -> int:
-    """Largest left endpoint b with nu({l >= b}) >= m+1; raises if the packing number is <= m."""
-    return ~_checked_threshold(f, axis, m, cap, lambda iv: ~iv.lo)
 
 
 # ---------------------------------------------------------------------------

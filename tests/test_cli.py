@@ -162,6 +162,16 @@ def test_malformed_json_exits_1():
     assert res.returncode == 1
 
 
+def test_deeply_nested_json_exits_1_without_a_traceback(tmp_path, capsys):
+    from boxpierce import cli
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    for args in (["nu", str(path)], ["verify", str(path)]):
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("boxpierce: ") and "nested" in err and "Traceback" not in err
+
+
 _UNDECODABLE = b'{"dim": 1, "boxes": [[[0, 2]]], "meta": {"x": "\xff"}}'
 
 

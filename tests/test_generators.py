@@ -197,6 +197,13 @@ def test_random_spec_refuses_ranges_outside_the_contract(coord_range):
             RandomSpec(n_boxes=3, coord_range=coord_range)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "3"])
+def test_random_spec_refuses_a_seed_that_is_not_an_integer(seed):
+    # None would seed from the clock, so the same spec would draw a new family each call
+    with pytest.raises(ValueError, match="seed"):
+        RandomSpec(n_boxes=3, seed=seed)
+
+
 @pytest.mark.parametrize("lines", [(0.5, 3), (2, True), (-1, 5), (3, 21)])
 def test_random_spec_refuses_lines_outside_the_contract(lines):
     with pytest.raises(ValueError, match="lines"):

@@ -48,6 +48,20 @@ def test_family_rejects_mixed_dimensions():
         BoxFamily(2, (box2(0, 1, 0, 1), Box.from_bounds(((0, 1),))))
 
 
+def test_box_rejects_sides_that_are_not_intervals():
+    with pytest.raises(ValueError, match="side 0"):
+        Box((1, 2))
+    with pytest.raises(ValueError, match="side 1"):
+        Box((Interval(0, 1), (2, 3)))
+
+
+def test_family_rejects_members_that_are_not_boxes():
+    with pytest.raises(ValueError, match="box 0"):
+        BoxFamily(2, [1, 2])
+    with pytest.raises(ValueError, match="box 1"):
+        BoxFamily(1, [Box.from_bounds(((0, 1),)), Interval(0, 1)])
+
+
 def test_family_two_line_invariant_names_offender():
     boxes = (box2(0, 1, 0, 1), box2(0, 1, 5, 6))
     with pytest.raises(ValueError, match="box 1"):

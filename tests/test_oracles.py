@@ -218,6 +218,12 @@ def test_common_point_disjoint_pair_reported():
         common_point(family_1d([(0, 1), (2, 3)]))
 
 
+def test_common_point_names_the_first_box_an_earlier_one_misses():
+    # box 2 is the first that an earlier box misses; box 0 is the first earlier box it misses
+    with pytest.raises(ValueError, match="boxes 0 and 2 are disjoint"):
+        common_point(family_1d([(0, 5), (3, 4), (6, 7), (0, 1)]))
+
+
 def test_common_point_lies_in_every_box():
     rng = random.Random(4)
     for _ in range(50):

@@ -12,8 +12,6 @@ from boxpierce import (
     TwoLines,
     bound_prop1,
     bound_prop3,
-    find_threshold,
-    find_threshold_hi,
     gen_extremal_two_line,
     gen_gadget,
     gen_random,
@@ -69,25 +67,35 @@ def test_1d_exactness_on_random_intervals():
 
 # --- thresholds --------------------------------------------------------------
 
+def threshold_low(f, axis, k):
+    """The left-threshold search over right endpoints, None where none exists."""
+    return piercing._threshold(f.boxes, [b.sides[axis].hi for b in f.boxes], k)
+
+
+def threshold_hi(f, axis, m):
+    """The right-threshold search over reflected left endpoints, None where none exists."""
+    t = piercing._threshold(f.boxes, [~b.sides[axis].lo for b in f.boxes], m)
+    return None if t is None else ~t
+
+
 def test_threshold_first_right_endpoint():
     fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert find_threshold(fam, 0, 0) == 1
+    assert threshold_low(fam, 0, 0) == 1
 
 
 def test_threshold_second_prefix():
     fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert find_threshold(fam, 0, 1) == 3
+    assert threshold_low(fam, 0, 1) == 3
 
 
 def test_threshold_hi_mirror():
     fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert find_threshold_hi(fam, 0, 0) == 4
+    assert threshold_hi(fam, 0, 0) == 4
 
 
 def test_threshold_error_when_packing_too_small():
     fam = family_1d([(0, 5), (1, 6)])
-    with pytest.raises(ValueError, match="at most 1"):
-        find_threshold(fam, 0, 1)
+    assert threshold_low(fam, 0, 1) is None
 
 
 def test_threshold_postcondition_on_random_families():
@@ -96,16 +104,11 @@ def test_threshold_postcondition_on_random_families():
                                     seed=700 + seed))
         n = nu_exact(fam).nu
         for k in range(n):
-            a = find_threshold(fam, 0, k)
+            a = threshold_low(fam, 0, k)
             strict_left = fam.replace_boxes(b for b in fam if b.sides[0].hi < a)
             right = fam.replace_boxes(b for b in fam if b.sides[0].lo > a)
             assert nu_exact(strict_left).nu <= k
             assert nu_exact(right).nu <= n - k - 1
-
-
-def threshold_low(f, axis, k):
-    """The internal left-threshold search over right endpoints, None where none exists."""
-    return piercing._threshold(f.boxes, [b.sides[axis].hi for b in f.boxes], k)
 
 
 def reference_threshold(f, axis, k):
@@ -146,14 +149,6 @@ def reference_threshold_hi(f, axis, m):
     return lefts[lo]
 
 
-def threshold_hi_or_none(f, axis, m):
-    try:
-        return find_threshold_hi(f, axis, m)
-    except ValueError as e:
-        assert f"at most {m} disjoint" in str(e)
-        return None
-
-
 @settings(max_examples=200, deadline=None)
 @given(small_families, st.integers(0, 2), st.integers(0, 2))
 def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
@@ -166,7 +161,7 @@ def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
 @given(small_families, st.integers(0, 2), st.integers(0, 2))
 def test_threshold_hi_mirror_matches_suffix_search(fam, axis, m):
     axis %= fam.dim
-    assert threshold_hi_or_none(fam, axis, m) == reference_threshold_hi(fam, axis, m)
+    assert threshold_hi(fam, axis, m) == reference_threshold_hi(fam, axis, m)
 
 
 def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
@@ -180,7 +175,7 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
         for axis in range(fam.dim):
             for k in (0, 1):
                 assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
-                assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+                assert threshold_hi(fam, axis, k) == reference_threshold_hi(fam, axis, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,24 +230,13 @@ def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
         for axis in range(fam.dim):
             for k in (2, 3, 4):
                 assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
-                assert threshold_hi_or_none(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+                assert threshold_hi(fam, axis, k) == reference_threshold_hi(fam, axis, k)
         for policy in SplitPolicy:
             for pierce in (pierce_planar, pierce_ddim) if fam.dim == 2 else (pierce_ddim,):
                 allowed[0] = 1
                 rep = pierce(fam, policy)
                 assert allowed[0] == 0 and is_sound(fam, rep.points)
                 assert rep.size <= rep.guarantee
-
-
-def test_threshold_rejects_bad_axis_and_k():
-    fam = gen_random(RandomSpec(6, 2, (0, 20), seed=3))
-    for search in (find_threshold, find_threshold_hi):
-        for axis in (5, 2, -1, True, 0.0):
-            with pytest.raises(ValueError, match="axis"):
-                search(fam, axis, 0)
-        for k in (-1, True, 1.0, None):
-            with pytest.raises(ValueError, match="non-negative integer"):
-                search(fam, 0, k)
 
 
 def test_ddim_checks_cap_value_in_one_dimension():
@@ -277,10 +261,9 @@ def extreme_family():
 
 def test_threshold_hi_at_64_bit_extremes():
     fam = extreme_family()
-    assert [find_threshold_hi(fam, 0, m) for m in range(5)] == [HI64 - 3, HI64 - 9, 30, -5, -20]
-    assert [find_threshold(fam, 0, k) for k in range(5)] == [LO64 + 5, 5, 20, 40, HI64 - 7]
-    with pytest.raises(ValueError, match="at most 6"):
-        find_threshold_hi(fam, 0, 6)
+    assert [threshold_hi(fam, 0, m) for m in range(5)] == [HI64 - 3, HI64 - 9, 30, -5, -20]
+    assert [threshold_low(fam, 0, k) for k in range(5)] == [LO64 + 5, 5, 20, 40, HI64 - 7]
+    assert threshold_hi(fam, 0, 6) is None
 
 
 # --- two-line sweep ----------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 _LN9 = math.log(9.0)
 
@@ -51,10 +51,6 @@ class BoundRule(str, Enum):
     HADWIGER2 = "hadwiger2"
     H = "h"
     BEST_KNOWN = "bestknown"
-
-
-#: Rules defined only in the plane.
-PLANAR_ONLY = frozenset({BoundRule.PROP3, BoundRule.HADWIGER2, BoundRule.H})
 
 
 def log_base_cbrt9(x: float) -> float:
@@ -212,23 +208,16 @@ class BoundTable(NamedTuple):
     values: dict[tuple[int, int], int | float]
 
 
-def _cells(rule: BoundRule, max_n: int, max_d: int):
-    if rule in PLANAR_ONLY:
-        if max_d < 2:
-            raise ValueError(f"rule {rule.value} applies only at d=2, got max_d={max_d}")
-        dims = [2]
-    elif rule is BoundRule.LEMMA1:
-        if max_d < 2:
-            raise ValueError(f"rule {rule.value} needs max_d >= 2, got max_d={max_d}")
-        dims = range(2, max_d + 1)
-    else:
-        if max_d < 1:
-            raise ValueError(f"rule {rule.value} needs max_d >= 1, got max_d={max_d}")
-        dims = range(1, max_d + 1)
-    n_lo = 1 if rule in (BoundRule.LEMMA1, BoundRule.HADWIGER2, BoundRule.H) else 0
-    for d in dims:
-        for n in range(n_lo, max_n + 1):
-            yield n, d
+#: Each rule's evaluator at (n, d), its smallest n, its smallest d, and
+#: whether it is planar-only (its table then holds the d = 2 column alone).
+_RULES: dict[BoundRule, tuple[Callable[[int, int], int | float], int, int, bool]] = {
+    BoundRule.PROP1: (bound_prop1, 0, 1, False),
+    BoundRule.PROP3: (lambda n, d: bound_prop3(n), 0, 2, True),
+    BoundRule.LEMMA1: (bound_lemma1, 1, 2, False),
+    BoundRule.HADWIGER2: (lambda n, d: bound_hadwiger2(n), 1, 2, True),
+    BoundRule.H: (lambda n, d: h(n), 1, 2, True),
+    BoundRule.BEST_KNOWN: (bound_best_known, 0, 1, False),
+}
 
 
 def build_table(rule: BoundRule, max_n: int, max_d: int = 2) -> BoundTable:
@@ -236,15 +225,11 @@ def build_table(rule: BoundRule, max_n: int, max_d: int = 2) -> BoundTable:
     rule = BoundRule(rule)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    evaluate = {
-        BoundRule.PROP1: lambda n, d: bound_prop1(n, d),
-        BoundRule.PROP3: lambda n, d: bound_prop3(n),
-        BoundRule.LEMMA1: lambda n, d: bound_lemma1(n, d),
-        BoundRule.HADWIGER2: lambda n, d: bound_hadwiger2(n),
-        BoundRule.H: lambda n, d: h(n),
-        BoundRule.BEST_KNOWN: lambda n, d: bound_best_known(n, d),
-    }[rule]
-    values = {(n, d): evaluate(n, d) for n, d in _cells(rule, max_n, max_d)}
+    evaluate, n_lo, d_lo, planar_only = _RULES[rule]
+    if max_d < d_lo:
+        raise ValueError(f"rule {rule.value} needs max_d >= {d_lo}, got max_d={max_d}")
+    dims = (2,) if planar_only else range(d_lo, max_d + 1)
+    values = {(n, d): evaluate(n, d) for d in dims for n in range(n_lo, max_n + 1)}
     return BoundTable(rule, max_n, max_d, values)
 
 

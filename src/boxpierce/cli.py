@@ -30,7 +30,7 @@ from .instances import (
     verify_to_obj,
     write_instance,
 )
-from .oracles import DEFAULT_CAP, CapExceeded, nu_exact, tau_exact
+from .oracles import DEFAULT_CAP, CapExceeded
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -111,9 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="pierce report or bare points document")
     p_verify.add_argument("--instance", default=None,
                           help="instance file; defaults to the one embedded in the report")
-    _add_cap_flag(p_verify)
-    p_verify.add_argument("--oracles", action="store_true",
-                          help="also report exact nu and tau (cap permitting)")
 
     return parser
 
@@ -139,6 +136,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    from .oracles import nu_exact
     family = load_instance(args.instance).family
     result = nu_exact(family, args.cap)
     sys.stdout.write(dumps_canonical({"nu": result.nu, "witness": list(result.witness)}))
@@ -146,6 +144,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from .oracles import tau_exact
     family = load_instance(args.instance).family
     result = tau_exact(family, args.cap)
     sys.stdout.write(dumps_canonical({
@@ -188,12 +187,11 @@ def _cmd_verify(args) -> int:
     inst = inst or embedded
     if inst is None:
         raise PreconditionError("no instance: pass --instance or verify a pierce report")
-    nu = tau = None
-    if args.oracles:
-        nu = nu_exact(inst.family, args.cap).nu
-        tau = tau_exact(inst.family, args.cap).tau
-    vr = verify_piercing(inst.family, points, guarantee=guarantee, nu=nu, tau=tau)
+    vr = verify_piercing(inst.family, points, guarantee=guarantee)
     sys.stdout.write(dumps_canonical(verify_to_obj(vr)))
+    if guarantee is not None and vr.size > guarantee:
+        print(f"boxpierce: {vr.size} points exceed the guarantee {guarantee}", file=sys.stderr)
+        return EXIT_PRECONDITION
     return EXIT_OK if vr.hits_all else EXIT_PRECONDITION
 
 

@@ -95,8 +95,10 @@ def _dump(obj: Any, nl: str) -> str:
     """The indented JSON of `obj`, whose lines after the first start with `nl`."""
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         inner = nl + "  "
-        return "{" + ",".join(f"{inner}{_compact(k)}: {_dump(obj[k], inner)}"
-                              for k in sorted(obj)) + nl + "}"
+        items = []
+        for k in sorted(obj):  # a loop, not a generator, so each nesting level costs one frame
+            items.append(f"{inner}{_compact(k)}: {_dump(obj[k], inner)}")
+        return "{" + ",".join(items) + nl + "}"
     if type(obj) in (list, tuple) and obj:
         compact = _compact(obj)
         shape = _shape(_compact(obj[0]))
@@ -295,13 +297,10 @@ class VerifyReport(NamedTuple):
     hits_all: bool
     size: int
     guarantee: float | None = None
-    nu: int | None = None
-    tau: int | None = None
     violations: tuple[int, ...] = ()
 
 
-def verify_piercing(family: BoxFamily, points, guarantee: float | None = None,
-                    nu: int | None = None, tau: int | None = None) -> VerifyReport:
+def verify_piercing(family: BoxFamily, points, guarantee: float | None = None) -> VerifyReport:
     """Recompute containment of every box against the point list.
 
     Every point must have the family's dimension (ValueError otherwise).
@@ -317,14 +316,7 @@ def verify_piercing(family: BoxFamily, points, guarantee: float | None = None,
     coords = sorted(p.coords for p in points)
     xs = [c[0] for c in coords]
     violations = tuple(i for i, b in enumerate(family.boxes) if not _pierced(b, coords, xs))
-    return VerifyReport(
-        hits_all=not violations,
-        size=len(points),
-        guarantee=guarantee,
-        nu=nu,
-        tau=tau,
-        violations=violations,
-    )
+    return VerifyReport(not violations, len(points), guarantee, violations)
 
 
 def _pierced(box: Box, coords: list[tuple[int, ...]], xs: list[int]) -> bool:

@@ -120,6 +120,32 @@ def test_bounds_bad_rule_rejected():
     assert res.returncode == 2 and res.stdout == ""
 
 
+# sha256 of `bounds RULE 20 D` stdout; every cell of every rule at d <= 4
+_PINNED_BOUNDS = {
+    ("prop1", "4"): "f4686e5d484ec0df7f4561093322124be6cf282d579dc234bab3ef689504872e",
+    ("prop1", "2"): "8331f62918fa0b263022bc55282fafdc914f3445324d4f393c55ddcfe1c8ec7e",
+    ("prop3", "4"): "f91ef804022e90a547481a0cf3691ccb7bb9eb113f6f53678898ce0d232a2038",
+    ("prop3", "2"): "f91ef804022e90a547481a0cf3691ccb7bb9eb113f6f53678898ce0d232a2038",
+    ("lemma1", "4"): "1e7a6e6c7924937f513e49b6cb0939b1fbb94ba218686d14a7a5060408c3d035",
+    ("lemma1", "2"): "d98609ebd1bda8979b6ad605817baac9147512fea045da7ff951b43a98173209",
+    ("hadwiger2", "4"): "f4db5ea2bb4f16417542ab48d8f7a56434a7ecd2b1b8f6f186377e885942bb2f",
+    ("hadwiger2", "2"): "f4db5ea2bb4f16417542ab48d8f7a56434a7ecd2b1b8f6f186377e885942bb2f",
+    ("h", "4"): "cd9a878d335774f76f095c66253888fa51c5bb15aa2fa63bcf550441ca9381f0",
+    ("h", "2"): "cd9a878d335774f76f095c66253888fa51c5bb15aa2fa63bcf550441ca9381f0",
+    ("bestknown", "4"): "0f9af31549eb2b51b69e5a8b5900f293de7fe3ac9ff13fb0e00db12c09a8093f",
+    ("bestknown", "2"): "e2834e2c1451ce06e036d6fb92385a2482f1aeeeeb18362ccf86c6f9671844e3",
+}
+
+
+def test_bound_tables_are_pinned(capsys):
+    from boxpierce import cli
+    got = {}
+    for rule, max_d in _PINNED_BOUNDS:
+        assert cli.main(["bounds", rule, "20", max_d]) == 0
+        got[rule, max_d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == _PINNED_BOUNDS
+
+
 def test_verify_pipe_and_corruption():
     inst = run("gen", "gadget").stdout
     report = run("pierce", "--algo", "twoline", stdin=inst).stdout
@@ -144,12 +170,24 @@ def test_verify_with_instance_flag(tmp_path):
     assert res.returncode == 0
 
 
-def test_verify_oracles_flag():
-    inst = run("gen", "gadget").stdout
-    report = run("pierce", "--algo", "twoline", stdin=inst).stdout
-    res = run("verify", "--oracles", stdin=report)
-    obj = json.loads(res.stdout)
-    assert obj["nu"] == 2 and obj["tau"] == 3
+def test_verify_runs_no_oracle():
+    # nu and tau come from their own subcommands; verify takes no oracle flags
+    report = run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout
+    for flags in (("--oracles",), ("--cap", "5")):
+        res = run("verify", *flags, stdin=report)
+        assert res.returncode == 2 and res.stdout == ""
+
+
+def test_verify_refuses_a_report_over_its_guarantee():
+    report = json.loads(run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout)
+    report["guarantee"] = 3
+    assert run("verify", stdin=json.dumps(report)).returncode == 0
+    report["guarantee"] = 1
+    res = run("verify", stdin=json.dumps(report))
+    assert res.returncode == 2
+    assert json.loads(res.stdout) == {"hits_all": True, "size": 3, "guarantee": 1.0,
+                                      "violations": []}
+    assert res.stderr.startswith("boxpierce: ") and {"3", "1.0"} <= set(res.stderr.split())
 
 
 def test_missing_file_exits_1():
@@ -170,6 +208,19 @@ def test_deeply_nested_json_exits_1_without_a_traceback(tmp_path, capsys):
         assert cli.main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("boxpierce: ") and "nested" in err and "Traceback" not in err
+
+
+def test_pierce_writes_a_meta_nested_900_deep():
+    # json.loads and json.dumps both handle this depth, so the canonical writer must too
+    from boxpierce.instances import dumps_canonical
+    meta = 1
+    for _ in range(900):
+        meta = {"a": meta}
+    doc = {"dim": 1, "boxes": [[[0, 1]]], "meta": meta}
+    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    res = run("pierce", "--algo", "ddim", stdin=json.dumps(doc))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["instance"] == doc
 
 
 _UNDECODABLE = b'{"dim": 1, "boxes": [[[0, 2]]], "meta": {"x": "\xff"}}'

@@ -136,7 +136,7 @@ def test_reprs_are_unchanged():
         "Instance(family=BoxFamily(dim=1, boxes=(Box(sides=(Interval(lo=0, hi=1),)),), "
         "lines=None), meta={'a': 1})")
     assert repr(verify_piercing(fam, report.points, 3.0)) == (
-        "VerifyReport(hits_all=True, size=3, guarantee=3.0, nu=None, tau=None, violations=())")
+        "VerifyReport(hits_all=True, size=3, guarantee=3.0, violations=())")
     assert repr(build_table("prop3", 2)) == (
         "BoundTable(rule=<BoundRule.PROP3: 'prop3'>, max_n=2, max_d=2, "
         "values={(0, 2): 0, (1, 2): 1, (2, 2): 3})")

@@ -155,16 +155,15 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_pierce(args) -> int:
-    from .piercing import SplitPolicy, pierce_ddim, pierce_planar, pierce_two_lines
+    from .piercing import pierce_ddim, pierce_planar, pierce_two_lines
     inst = load_instance(args.instance)
     family = inst.family
-    policy = SplitPolicy.BALANCED if args.policy == "balanced" else SplitPolicy.DP_OPTIMAL
     if args.algo == "twoline":
         report = pierce_two_lines(family, args.cap)
     elif args.algo == "planar":
-        report = pierce_planar(family, policy, args.cap)
+        report = pierce_planar(family, args.policy, args.cap)
     else:
-        report = pierce_ddim(family, policy, args.cap)
+        report = pierce_ddim(family, args.policy, args.cap)
     _write_text(args.out, report_to_json(report, args.algo, args.policy, inst))
     return EXIT_OK
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from operator import or_
+from functools import reduce
+from operator import and_, or_
 from typing import NamedTuple
 
 from .geometry import BoxFamily, Point, intersects
@@ -190,62 +191,37 @@ def candidate_grid(f: BoxFamily) -> list[Point]:
 def tau_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> TauResult:
     """Exact piercing number over the candidate grid.
 
-    Iterative deepening: at depth limit t, pick the lowest-index
-    uncovered box and branch on the grid points inside it (in grid
-    order); the first feasible t is the piercing number. A greedy
-    pairwise-disjoint count of the uncovered boxes prunes branches that
-    cannot finish within the remaining depth.
+    Iterative deepening from t = nu (tau >= nu): at depth limit t, pick
+    the lowest-index uncovered box and branch on the grid points inside
+    it, in grid order; the first feasible t is the piercing number. A
+    greedy pairwise-disjoint count of the uncovered boxes prunes
+    branches that cannot finish within the remaining depth. The search
+    runs on an explicit stack, so a large cap hits no recursion limit.
     """
-    check_cap(f, cap)
+    nu = nu_exact(f, cap).nu
+    if nu == 0:
+        return TauResult(0, ())
     boxes = f.boxes
     n = len(boxes)
-    if n == 0:
-        return TauResult(0, ())
     grid = candidate_grid(f)
-    covers = []
-    points = []
-    for p in grid:
-        mask = 0
-        for i, b in enumerate(boxes):
-            if b.contains(p):
-                mask |= 1 << i
-        if mask:
-            covers.append(mask)
-            points.append(p)
-    inside = [[] for _ in range(n)]
-    for pi, mask in enumerate(covers):
-        m = mask
-        while m:
-            bit = m & -m
-            m &= m - 1
-            inside[bit.bit_length() - 1].append(pi)
-
+    # a point's cover is the AND over its axes of the boxes whose side holds its coordinate
+    holds = [{c: sum(1 << i for i, b in enumerate(boxes) if b.sides[ax].contains(c))
+              for c in {p.coords[ax] for p in grid}} for ax in range(f.dim)]
+    covers = [reduce(and_, map(dict.__getitem__, holds, p.coords)) for p in grid]
+    inside = [[g for g, mask in enumerate(covers) if mask >> i & 1] for i in range(n)]
     adj = _adjacency(boxes)
-    full = (1 << n) - 1
-
-    def disjoint_lb(uncovered: int) -> int:
-        return _greedy_disjoint(adj, uncovered).bit_count()
-
-    chosen: list[int] = []
-
-    def dfs(uncovered: int, depth_left: int) -> bool:
-        if not uncovered:
-            return True
-        if depth_left == 0 or disjoint_lb(uncovered) > depth_left:
-            return False
-        i = (uncovered & -uncovered).bit_length() - 1
-        for pi in inside[i]:
-            chosen.append(pi)
-            if dfs(uncovered & ~covers[pi], depth_left - 1):
-                return True
-            chosen.pop()
-        return False
-
     # One point per box always suffices, so some t <= n is feasible.
-    for t in range(max(1, disjoint_lb(full)), n + 1):
-        chosen.clear()
-        if dfs(full, t):
-            return TauResult(t, tuple(points[pi] for pi in chosen))
+    for t in range(nu, n + 1):
+        stack = [((1 << n) - 1, t, ())]
+        while stack:
+            uncovered, depth_left, chosen = stack.pop()
+            if not uncovered:
+                return TauResult(t, tuple(grid[g] for g in chosen))
+            if depth_left and _greedy_disjoint(adj, uncovered).bit_count() <= depth_left:
+                i = (uncovered & -uncovered).bit_length() - 1
+                # pushed in reverse, so children pop in grid order
+                stack.extend((uncovered & ~covers[g], depth_left - 1, chosen + (g,))
+                             for g in reversed(inside[i]))
     raise AssertionError("unreachable: piercing with one point per box must exist")
 
 

@@ -181,9 +181,9 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
     """
     if f.dim != 1:
         raise ValueError(f"interval sweep needs a 1-d family, got dimension {f.dim}")
-    order = sorted(range(len(f)), key=lambda i: (f.boxes[i].sides[0].hi, f.boxes[i].sides[0].lo, i))
+    his = [box.sides[0].hi for box in f.boxes]
     stabs: list[int] = []
-    for i in order:
+    for i in sorted(range(len(f)), key=his.__getitem__):
         iv = f.boxes[i].sides[0]
         if not stabs or iv.lo > stabs[-1]:
             stabs.append(iv.hi)
@@ -285,7 +285,7 @@ def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
     return points
 
 
-def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
+def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
                   cap: int = DEFAULT_CAP) -> PierceReport:
     """Pierce a planar family by recursive three-way splitting.
 
@@ -294,6 +294,7 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
     bounds k, l, m and the boxes crossing either cut form a two-line
     family handled by the sweep.
     """
+    policy = SplitPolicy(policy)
     if f.dim != 2:
         raise ValueError(f"planar piercing needs a 2-d family, got dimension {f.dim}")
     return _pierce(f, policy, cap)
@@ -350,7 +351,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     return _report(points, guarantee, root_nu, tracer)
 
 
-def pierce_ddim(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
+def pierce_ddim(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
                 cap: int = DEFAULT_CAP) -> PierceReport:
     """Pierce a family of any dimension.
 
@@ -360,6 +361,7 @@ def pierce_ddim(f: BoxFamily, policy: SplitPolicy = SplitPolicy.BALANCED,
     crossing the split hyperplane by projecting them one dimension down
     and lifting the resulting points back.
     """
+    policy = SplitPolicy(policy)
     if f.dim == 1:
         check_cap_value(cap)  # the sweep runs no oracle, but the cap's value rule holds
         return pierce_intervals_1d(f)

@@ -90,6 +90,14 @@ def test_over_cap_exits_3():
     assert res2.returncode == 3
 
 
+def test_tau_at_a_large_cap_exits_0():
+    # 1,100 pairwise-disjoint points: the search descends 1,100 levels
+    doc = {"dim": 1, "boxes": [[[3 * i, 3 * i]] for i in range(1100)]}
+    res = run("tau", "--cap", "1100", stdin=json.dumps(doc))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["tau"] == 1100
+
+
 def test_negative_cap_exits_2():
     res = run("nu", "--cap", "-1", stdin='{"dim": 2, "boxes": []}')
     assert res.returncode == 2

@@ -1,14 +1,17 @@
 """Exact oracles against independent brute-force enumeration."""
 
+import hashlib
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxpierce import (
+    Box,
     BoxFamily,
     CapExceeded,
     RandomSpec,
@@ -200,6 +203,46 @@ def test_oracles_deterministic():
     fam = gen_random(RandomSpec(n_boxes=9, coord_range=(0, 10), seed=33))
     assert nu_exact(fam) == nu_exact(fam)
     assert tau_exact(fam) == tau_exact(fam)
+
+
+def test_tau_deep_search_needs_no_recursion():
+    # 400 pairwise-disjoint points: the search descends 400 levels, past the lowered limit
+    fam = family_1d([(3 * i, 3 * i) for i in range(400)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        res = tau_exact(fam, cap=400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.tau == 400
+    assert [p.coords for p in res.witness] == [(3 * i,) for i in range(400)]
+
+
+def dense_family(n: int, rng: random.Random) -> BoxFamily:
+    """Boxes of side <= 15 inside [0, 75]^2, where the tau search branches most."""
+    boxes = []
+    for _ in range(n):
+        x, y = rng.randint(0, 60), rng.randint(0, 60)
+        boxes.append(Box.from_bounds(((x, x + rng.randint(0, 15)),
+                                      (y, y + rng.randint(0, 15)))))
+    return BoxFamily.of(boxes, dim=2)
+
+
+# sha256 over (tau, witness coordinates) of every family in the sweep below
+_TAU_SWEEP_SHA256 = "18a7dabca98768d8f3cb99944757fa34be444c7139145d1d79e5fcbab1322a92"
+
+
+def test_tau_witnesses_are_pinned():
+    rng = random.Random(19)
+    fams = [dense_family(n, rng) for n, count in ((10, 60), (12, 40), (16, 6))
+            for _ in range(count)]
+    fams += [gen_random(RandomSpec(n_boxes=1 + s % 12, dim=1 + s % 3, coord_range=(0, 15),
+                                   seed=s)) for s in range(120)]
+    digest = hashlib.sha256()
+    for fam in fams:
+        res = tau_exact(fam, cap=len(fam))
+        digest.update(repr((res.tau, [p.coords for p in res.witness])).encode())
+    assert digest.hexdigest() == _TAU_SWEEP_SHA256
 
 
 # --- common_point ------------------------------------------------------------

@@ -65,6 +65,18 @@ def test_1d_exactness_on_random_intervals():
         assert rep.size == nu_exact(fam).nu == tau_exact(fam).tau
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=14))
+def test_1d_stabs_ignore_the_order_of_ties_in_hi(pairs):
+    # the sweep sorts by hi alone; the stabs equal those of a (hi, lo, index) sort
+    fam = family_1d([(lo, lo + w) for lo, w in pairs])
+    stabs = []
+    for iv in sorted((b.sides[0] for b in fam.boxes), key=lambda iv: (iv.hi, iv.lo)):
+        if not stabs or iv.lo > stabs[-1]:
+            stabs.append(iv.hi)
+    assert [p.coords[0] for p in pierce_intervals_1d(fam).points] == stabs
+
+
 # --- thresholds --------------------------------------------------------------
 
 def threshold_low(f, axis, k):
@@ -399,6 +411,23 @@ def test_planar_empty_family():
 def test_planar_rejects_other_dimensions():
     with pytest.raises(ValueError):
         pierce_planar(family_1d([(0, 1)]))
+
+
+def test_policy_given_by_its_value_runs_that_policy():
+    fam = gen_random(RandomSpec(40, 2, (0, 1000), seed=3))
+    for policy in SplitPolicy:
+        assert pierce_planar(fam, policy.value, cap=40) == pierce_planar(fam, policy, cap=40)
+    assert pierce_planar(fam, "balanced", cap=40).guarantee == h(nu_exact(fam, 40).nu)
+    fam3 = gen_random(RandomSpec(24, 3, (0, 100), seed=3))
+    assert pierce_ddim(fam3, "balanced") == pierce_ddim(fam3, SplitPolicy.BALANCED)
+
+
+def test_unknown_policy_is_refused():
+    for fam in (gen_gadget(), family_1d([(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="bogus"):
+            pierce_ddim(fam, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        pierce_planar(gen_gadget(), "bogus")
 
 
 def test_planar_fuzz_guarantees_and_sandwich():

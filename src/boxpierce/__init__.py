@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 #: Each public name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "LOG_CBRT9_OF_2", "BoundRule", "BoundTable", "asymptotic_constant",
-        "bound_best_known", "bound_hadwiger2", "bound_lemma1", "bound_prop1",
-        "bound_prop3", "build_table", "h", "table_to_csv",
+        "LOG_CBRT9_OF_2", "BoundRule", "BoundTable", "bound_best_known",
+        "bound_hadwiger2", "bound_lemma1", "bound_prop1", "bound_prop3",
+        "build_table", "h", "table_to_csv",
     ), "bounds"),
     **dict.fromkeys((
         "RandomSpec", "gen_extremal_two_line", "gen_gadget", "gen_random",

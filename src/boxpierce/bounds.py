@@ -64,11 +64,6 @@ def h(n: int) -> float:
     return n * log_base_cbrt9(n) + n
 
 
-def asymptotic_constant() -> float:
-    """log_{9^(1/3)}(2) ~ 0.946395, the leading constant at fixed d."""
-    return LOG_CBRT9_OF_2
-
-
 def _check_n(n: int, d: int = 1) -> None:
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -89,14 +84,23 @@ def _first_min(sums: list[int]) -> tuple[int, int]:
     return v, sums.index(v)
 
 
-def _pairwise_cell(tables: dict, d: int, n: int, column) -> tuple[int, int | None]:
-    """Cell n of T(n) = min_k {T(k) + T(n-k-1)} + column(n), T kept in tables[d]."""
-    table = tables.setdefault(d, [(0, None), (1, None)])
-    while len(table) <= n:
-        m = len(table)
-        inner, k = _first_min([table[i][0] + table[m - 1 - i][0] for i in range(m - 1)])
-        table.append((inner + column(m), k))
-    return table[n]
+def _pairwise_cell(tables: dict, d: int, n: int, bottom, bottom_d: int) -> tuple[int, int | None]:
+    """Cell n of T_d(n) = min_k {T_d(k) + T_d(n-k-1)} + T_{d-1}(n); T_bottom_d is `bottom`.
+
+    Each column e > bottom_d is kept in tables[e]. The columns short of
+    cell n are filled bottom-up, so no call goes deeper per dimension.
+    """
+    low = d
+    while low - 1 > bottom_d and len(tables.get(low - 1, ())) <= n:
+        low -= 1
+    for e in range(low, d + 1):
+        table = tables.setdefault(e, [(0, None), (1, None)])
+        below = tables.get(e - 1)  # None at the bottom column, which has no table
+        while len(table) <= n:
+            m = len(table)
+            inner, k = _first_min([table[i][0] + table[m - 1 - i][0] for i in range(m - 1)])
+            table.append((inner + (bottom(m) if below is None else below[m][0]), k))
+    return tables[d][n]
 
 
 def bound_prop3(n: int) -> int:
@@ -135,7 +139,7 @@ def bound_prop1(n: int, d: int) -> int:
     _check_n(n, d)
     if d == 1:
         return n
-    return _pairwise_cell(_prop1, d, n, lambda m: bound_prop1(m, d - 1))[0]
+    return _pairwise_cell(_prop1, d, n, int, 1)[0]
 
 
 def split_prop1(n: int, d: int) -> int:
@@ -149,22 +153,19 @@ def split_prop1(n: int, d: int) -> int:
 def bound_lemma1(n: int, d: int) -> float:
     """Balanced-halving bound n + log2(n) * base(n, d-1), real-valued.
 
-    base(n, 1) = n, base(n, 2) = bound_prop3(n), and deeper columns feed
-    the rule back into itself.
+    base(n, 1) = n and base(n, 2) = bound_prop3(n); deeper columns apply
+    the rule d - 2 times from there. Past a double's range: ValueError.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"bound_lemma1 needs n >= 1, got {n!r}")
     if type(d) is not int or d < 2:
         raise ValueError(f"bound_lemma1 needs d >= 2, got {d!r}")
-    if n == 1:
-        return 1.0
-    if d == 2:
-        base: float = n
-    elif d == 3:
-        base = bound_prop3(n)
-    else:
-        base = bound_lemma1(n, d - 1)
-    return n + math.log2(n) * base
+    v: float = n if d == 2 else bound_prop3(n)
+    for _ in range(max(d - 2, 1)):
+        v = n + math.log2(n) * v
+    if v == math.inf:
+        raise ValueError(f"bound_lemma1({n}, {d}) exceeds a double's range")
+    return v
 
 
 def bound_hadwiger2(n: int) -> int:
@@ -192,11 +193,11 @@ def bound_best_known(n: int, d: int) -> int:
     _check_n(n, d)
     if d == 1:
         return n
-    if d == 2:
-        if n <= 2:
-            return (0, 1, 3)[n]
-        return min(bound_prop3(n), bound_prop1(n, 2), bound_hadwiger2(n))
-    return _pairwise_cell(_best, d, n, lambda m: bound_best_known(m, d - 1))[0]
+    return _best_planar(n) if d == 2 else _pairwise_cell(_best, d, n, _best_planar, 2)[0]
+
+
+def _best_planar(n: int) -> int:  # the bestknown d = 2 column
+    return (0, 1, 3)[n] if n <= 2 else min(bound_prop3(n), bound_prop1(n, 2), bound_hadwiger2(n))
 
 
 class BoundTable(NamedTuple):

@@ -22,9 +22,9 @@ every input box and whose size never exceeds the reported guarantee:
 
 The exact packing number is computed once, at the root; recursive
 calls receive the upper bounds the split inequalities guarantee instead
-of re-solving subfamilies. Both recursions step through `_rec`, which
-ends an empty family or one with bound <= 1 and hands the rest to the
-planar or the d-dim split. Thresholds realize the continuous cut
+of re-solving subfamilies. Both recursions run as one loop over an
+explicit stack in `_pierce`, so no depth or dimension meets Python's
+recursion limit. Thresholds realize the continuous cut
 positions discretely: the left threshold is the smallest right endpoint
 at which the prefix first packs k+1 pairwise-disjoint boxes, which
 keeps every inequality exact. The right threshold is the same search
@@ -251,38 +251,13 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
 
 
 # ---------------------------------------------------------------------------
-# planar three-way recursion
+# planar and d-dim recursion, on an explicit stack
 
 
 def _balanced_triple(n: int) -> tuple[int, int, int]:
     q, r = divmod(n - 2, 3)
     parts = [q + 1] * r + [q] * (3 - r)
     return parts[0], parts[1], parts[2]
-
-
-def _planar_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
-                tracer: _Tracer, parent: int | None) -> list[Point]:
-    k, l, m = _balanced_triple(bound) if policy is SplitPolicy.BALANCED else split_prop3(bound)
-    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
-    if a is None:  # nu(f) <= k: re-enter with the tight bound
-        return _rec(f, k, policy, tracer, parent)
-    b = _threshold(f.boxes, [~box.sides[0].lo for box in f.boxes], m)
-    if b is None:
-        return _rec(f, m, policy, tracer, parent)
-    # The right threshold is ~b. If a > ~b, both packing prefixes overrun
-    # each other; every cut point between them leaves {r < a} packing <= k
-    # and {l > a} packing <= m, so collapse to the single line x = a (the
-    # middle part is then empty and the crossing boxes form a one-line family).
-    b = max(a, ~b)
-    parts = split_four(f, 0, a, b)
-    node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
-                      sizes=(len(parts.minus), len(parts.plusminus),
-                             len(parts.plus), len(parts.zero)))
-    points = _rec(parts.minus, k, policy, tracer, node)
-    points += _rec(parts.plusminus, l, policy, tracer, node)
-    points += _rec(parts.plus, m, policy, tracer, node)
-    points += _two_line_sweep(parts.zero.boxes, TwoLines(0, a, b), bound, tracer, node)
-    return points
 
 
 def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
@@ -300,47 +275,21 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED
     return _pierce(f, policy, cap)
 
 
-# ---------------------------------------------------------------------------
-# dimension recursion
-
-
-def _ddim_rec(f: BoxFamily, bound: int, policy: SplitPolicy,
-              tracer: _Tracer, parent: int | None) -> list[Point]:
-    k = (bound - 1) // 2 if policy is SplitPolicy.BALANCED else split_prop1(bound, f.dim)
-    a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
-    if a is None:  # nu(f) <= k: re-enter with the tight bound
-        return _rec(f, k, policy, tracer, parent)
-    minus, zero, plus = split_three(f, 0, a)
-    node = tracer.add(parent, f.dim, op="split-three", bound=bound, axis=0, lo=a,
-                      sizes=(len(minus), len(zero), len(plus)))
-    points = _rec(minus, k, policy, tracer, node)
-    inner = _rec(project_onto_hyperplane(zero, 0, a), bound, policy, tracer, node)
-    points += lift_points(inner, 0, a)
-    points += _rec(plus, bound - k - 1, policy, tracer, node)
-    return points
-
-
-def _rec(f: BoxFamily, bound: int, policy: SplitPolicy,
-         tracer: _Tracer, parent: int | None) -> list[Point]:
-    """One recursion step for d >= 2, given a bound >= nu(f).
-
-    An empty family needs no point, and one with bound <= 1 is pairwise
-    intersecting, so one common point pierces it. Any other family is
-    split by `_planar_rec` in the plane and by `_ddim_rec` above it.
-    """
-    if not len(f):
-        return []
-    if bound <= 1:
-        tracer.add(parent, f.dim, op="common-point", bound=bound, sizes=(len(f),))
-        return [common_point(f)]
-    return (_planar_rec if f.dim == 2 else _ddim_rec)(f, bound, policy, tracer, parent)
-
-
 def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
-    """Root of the planar and d-dim recursions (d >= 2): exact nu, then the guarantee it implies."""
+    """Planar and d-dim recursion (d >= 2) from the exact root nu, as one loop.
+
+    A step (family, bound, parent, lifts) needs bound >= nu(family).
+    An empty family needs no point, and one with bound <= 1 is pairwise
+    intersecting, so one common point pierces it. A missing threshold
+    re-pushes the family with the tight bound. Otherwise the family is
+    split on axis 0: a planar one in four parts, whose zero part is a
+    (boxes, lines) step for the two-line sweep, and a higher one in
+    three, whose zero part is projected onto the cut hyperplane and its
+    cut prepended to `lifts`. Children are pushed in reverse, so points
+    and trace nodes come out depth first. Each step's points are lifted
+    through its `lifts`, innermost first.
+    """
     root_nu = nu_exact(f, cap).nu
-    tracer = _Tracer()
-    points = _rec(f, root_nu, policy, tracer, None)
     balanced = policy is SplitPolicy.BALANCED
     if root_nu == 0:
         guarantee = 0.0
@@ -348,6 +297,55 @@ def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
         guarantee = h(root_nu) if balanced else bound_prop3(root_nu)
     else:
         guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
+    tracer = _Tracer()
+    points: list[Point] = []
+    stack = [(f, root_nu, None, ())]
+    while stack:
+        f, bound, parent, lifts = stack.pop()
+        if type(f) is tuple:  # a planar zero part: (boxes, lines) for the sweep
+            emitted = _two_line_sweep(*f, bound, tracer, parent)
+        elif not len(f):
+            continue
+        elif bound <= 1:
+            tracer.add(parent, f.dim, op="common-point", bound=bound, sizes=(len(f),))
+            emitted = [common_point(f)]
+        else:
+            if f.dim == 2:
+                k, l, m = _balanced_triple(bound) if balanced else split_prop3(bound)
+            else:
+                k = (bound - 1) // 2 if balanced else split_prop1(bound, f.dim)
+            a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
+            if a is None:  # nu(f) <= k: re-enter with the tight bound
+                stack.append((f, k, parent, lifts))
+                continue
+            if f.dim > 2:
+                minus, zero, plus = split_three(f, 0, a)
+                node = tracer.add(parent, f.dim, op="split-three", bound=bound, axis=0, lo=a,
+                                  sizes=(len(minus), len(zero), len(plus)))
+                stack += [(plus, bound - k - 1, node, lifts),
+                          (project_onto_hyperplane(zero, 0, a), bound, node, (a, *lifts)),
+                          (minus, k, node, lifts)]
+                continue
+            b = _threshold(f.boxes, [~box.sides[0].lo for box in f.boxes], m)
+            if b is None:
+                stack.append((f, m, parent, lifts))
+                continue
+            # The right threshold is ~b. If a > ~b, both packing prefixes overrun
+            # each other; every cut point between them leaves {r < a} packing <= k
+            # and {l > a} packing <= m, so collapse to the single line x = a (the
+            # middle part is then empty and the crossing boxes form a one-line family).
+            b = max(a, ~b)
+            parts = split_four(f, 0, a, b)
+            node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
+                              sizes=(len(parts.minus), len(parts.plusminus),
+                                     len(parts.plus), len(parts.zero)))
+            stack += [((parts.zero.boxes, TwoLines(0, a, b)), bound, node, lifts),
+                      (parts.plus, m, node, lifts), (parts.plusminus, l, node, lifts),
+                      (parts.minus, k, node, lifts)]
+            continue
+        for a in lifts:
+            emitted = lift_points(emitted, 0, a)
+        points += emitted
     return _report(points, guarantee, root_nu, tracer)
 
 

@@ -14,9 +14,9 @@ from contextlib import contextmanager
 import pytest
 
 from boxpierce import (
+    LOG_CBRT9_OF_2,
     RandomSpec,
     SplitPolicy,
-    asymptotic_constant,
     bound_best_known,
     bound_hadwiger2,
     bound_lemma1,
@@ -58,8 +58,8 @@ def test_criterion_01_flagship_bound_values():
 def test_criterion_02_constants():
     with criterion("C2", "h(2) and the asymptotic constant match to stated tolerances"):
         assert h(2) == pytest.approx(3.892789, abs=1e-5)
-        assert asymptotic_constant() == pytest.approx(0.946395, abs=1e-6)
-        assert 1.0 / asymptotic_constant() == pytest.approx(1.057, abs=1e-3)
+        assert LOG_CBRT9_OF_2 == pytest.approx(0.946395, abs=1e-6)
+        assert 1.0 / LOG_CBRT9_OF_2 == pytest.approx(1.057, abs=1e-3)
 
 
 def test_criterion_03_strict_log_window():

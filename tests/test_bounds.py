@@ -1,12 +1,14 @@
 """Bound recurrences: frozen values, dominance relations, monotonicity."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
 from boxpierce import (
+    LOG_CBRT9_OF_2,
     BoundRule,
-    asymptotic_constant,
     bound_best_known,
     bound_hadwiger2,
     bound_lemma1,
@@ -78,6 +80,14 @@ def test_lemma1_rejects_zero():
         bound_lemma1(0, 3)
 
 
+def test_lemma1_past_a_double_is_refused():
+    assert math.isfinite(bound_lemma1(5, 841))
+    with pytest.raises(ValueError, match=r"\(5, 842\)"):
+        bound_lemma1(5, 842)
+    with pytest.raises(ValueError, match=r"\(5, 842\)"):
+        build_table(BoundRule.LEMMA1, 5, 900)
+
+
 # --- quadratic planar rule ---------------------------------------------------
 
 def test_hadwiger_values():
@@ -104,7 +114,7 @@ def test_h_3_exact_exponent():
 
 
 def test_asymptotic_constant():
-    c = asymptotic_constant()
+    c = LOG_CBRT9_OF_2
     assert c == pytest.approx(0.946395, abs=1e-6)
     assert 1.0 / c == pytest.approx(1.057, abs=1e-3)
     assert c < 1.0
@@ -244,3 +254,12 @@ def test_planar_rules_reject_low_max_d():
             build_table(rule, max_n, max_d)
     with pytest.raises(ValueError, match="max_n"):
         build_table(BoundRule.PROP1, 0, 3)
+
+
+def test_deep_columns_in_a_fresh_process_need_no_recursion():
+    # a fresh process has empty tables, so the first call fills every column below d = 400
+    code = ("from boxpierce import bound_best_known, bound_prop1\n"
+            "print(bound_prop1(5, 400), bound_best_known(5, 400))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["161201", "160404"]

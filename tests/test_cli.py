@@ -154,6 +154,37 @@ def test_bound_tables_are_pinned(capsys):
     assert got == _PINNED_BOUNDS
 
 
+def test_bounds_lemma1_past_a_double_exits_2():
+    res = run("bounds", "lemma1", "5", "1500")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("boxpierce:") and "(5, 842)" in res.stderr
+    assert "Traceback" not in res.stderr
+    # the rows below the refusal are unchanged
+    assert hashlib.sha256(run("bounds", "lemma1", "5", "841").stdout.encode()).hexdigest() == (
+        "36ad2e0f4661e5d5f01dec4b399b2bcd0ca67f99b881e4c82664a1d4f871c8ed")
+
+
+def test_pierce_guarantee_past_a_double_exits_2(tmp_path):
+    # 32 disjoint boxes in 445-d: bound_lemma1(32, 445) overflows, and JSON has no Infinity
+    from boxpierce import Box, BoxFamily, instance_to_json
+    path = tmp_path / "wide.json"
+    path.write_text(instance_to_json(BoxFamily.of(
+        [Box.from_bounds([(3 * i, 3 * i + 1)] + [(0, 1)] * 444) for i in range(32)], dim=445)))
+    res = run("pierce", "--algo", "ddim", "--policy", "balanced", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("boxpierce:") and "(32, 445)" in res.stderr
+
+
+def test_pierce_in_500_dimensions_exits_0():
+    inst = run("gen", "random", "--boxes", "6", "--dim", "500", "--range", "0", "10",
+               "--seed", "1").stdout
+    for policy in ("balanced", "dp"):
+        report = run("pierce", "--algo", "ddim", "--policy", policy, "--cap", "6", stdin=inst)
+        assert report.returncode == 0, report.stderr
+        res = run("verify", stdin=report.stdout)
+        assert res.returncode == 0 and json.loads(res.stdout)["hits_all"] is True
+
+
 def test_verify_pipe_and_corruption():
     inst = run("gen", "gadget").stdout
     report = run("pierce", "--algo", "twoline", stdin=inst).stdout

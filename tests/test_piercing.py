@@ -1,5 +1,8 @@
 """Piercing algorithms: worked examples, guarantees, recursion structure."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -587,6 +590,46 @@ def test_points_never_exceed_guarantee_structurally():
     rep = pierce_two_lines(fam)
     assert rep.size <= rep.guarantee
     assert rep.nu_used == 2
+
+
+# sha256 over repr((points, guarantee, nu_used, trace)) of every report in the sweep below
+_REPORT_SWEEP_SHA256 = "a0fd8c75860b9d64680c5b60734566d9701ac16fdd00c41b19415fd066eb1eac"
+
+
+def test_reports_in_two_to_five_dimensions_are_pinned():
+    # 4-d and 5-d families nest one projection inside another, so their points are
+    # lifted through more than one cut
+    def reports():
+        for seed in range(150):
+            for dim, n in ((2, 12), (2, 24), (2, 40), (3, 16), (3, 30), (4, 14), (5, 10)):
+                fam = gen_random(RandomSpec(n_boxes=n, dim=dim, seed=seed,
+                                            coord_range=(0, 60) if seed % 2 else (0, 1000)))
+                for policy in SplitPolicy:
+                    yield (pierce_planar if dim == 2 else pierce_ddim)(fam, policy, cap=n)
+        for n in range(1, 14):
+            for policy in SplitPolicy:
+                yield pierce_planar(gen_extremal_two_line(n), policy, cap=64)
+
+    digest = hashlib.sha256()
+    for rep in reports():
+        digest.update(repr((rep.points, rep.guarantee, rep.nu_used, rep.trace)).encode())
+    assert digest.hexdigest() == _REPORT_SWEEP_SHA256
+
+
+def test_ddim_in_200_dimensions_needs_no_recursion():
+    fam = gen_random(RandomSpec(n_boxes=6, dim=200, coord_range=(0, 10), seed=1))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)  # far fewer frames than dimensions
+    try:
+        reports = [pierce_ddim(fam, policy, cap=6) for policy in SplitPolicy]
+    finally:
+        sys.setrecursionlimit(limit)
+    for rep in reports:
+        assert is_sound(fam, rep.points)
+        assert rep.size <= rep.guarantee
 
 
 # --- cap handling ----------------------------------------------------------------

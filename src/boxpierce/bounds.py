@@ -77,6 +77,7 @@ _prop3: list[tuple[int, tuple[int, int, int] | None]] = [(0, None), (1, None)]
 _prop3_pairs: list[tuple[int, int]] = [(0, 0), (1, 0)]  # (min_{i+j=s} t[i]+t[j], first i)
 _prop1: dict[int, list[tuple[int, int | None]]] = {}
 _best: dict[int, list[tuple[int, int | None]]] = {}
+_lemma1: dict[int, list[float]] = {}  # n -> [n, bound_prop3(n), bound_lemma1(n, 3), ...] up to inf
 
 
 def _first_min(sums: list[int]) -> tuple[int, int]:
@@ -153,16 +154,17 @@ def split_prop1(n: int, d: int) -> int:
 def bound_lemma1(n: int, d: int) -> float:
     """Balanced-halving bound n + log2(n) * base(n, d-1), real-valued.
 
-    base(n, 1) = n and base(n, 2) = bound_prop3(n); deeper columns apply
-    the rule d - 2 times from there. Past a double's range: ValueError.
+    base(n, 1) = n, base(n, 2) = bound_prop3(n), and deeper bases extend
+    the kept column of n, one rule step each. Past a double: ValueError.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"bound_lemma1 needs n >= 1, got {n!r}")
     if type(d) is not int or d < 2:
         raise ValueError(f"bound_lemma1 needs d >= 2, got {d!r}")
-    v: float = n if d == 2 else bound_prop3(n)
-    for _ in range(max(d - 2, 1)):
-        v = n + math.log2(n) * v
+    column = _lemma1.setdefault(n, [n])  # base(n, e) at index e - 1
+    while d > 2 and len(column) < d and column[-1] != math.inf:
+        column.append(bound_prop3(n) if len(column) == 1 else n + math.log2(n) * column[-1])
+    v = n + math.log2(n) * n if d == 2 else column[min(d - 1, len(column) - 1)]
     if v == math.inf:
         raise ValueError(f"bound_lemma1({n}, {d}) exceeds a double's range")
     return v

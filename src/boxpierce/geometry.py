@@ -248,15 +248,10 @@ def _check_axis(f: BoxFamily, axis: int) -> None:
         raise ValueError(f"axis {axis!r} out of range for dimension {f.dim}")
 
 
-def _partition(f: BoxFamily, axis: int, a: int, b: int) -> tuple[list, list, list, list]:
-    """The (minus, plusminus, plus, zero) box lists of `split_four`, in input order."""
-    _check_axis(f, axis)
-    _check_coord(a, "split coordinate a")
-    _check_coord(b, "split coordinate b")
-    if a > b:
-        raise ValueError(f"split coordinates out of order: a={a} > b={b}")
+def _partition(boxes, axis: int, a: int, b: int) -> tuple[list, list, list, list]:
+    """The (minus, plusminus, plus, zero) box lists of `split_four`, in input order, unchecked."""
     minus, plusminus, plus, zero = [], [], [], []
-    for box in f.boxes:
+    for box in boxes:
         iv = box.sides[axis]
         if iv.hi < a:
             minus.append(box)
@@ -269,13 +264,22 @@ def _partition(f: BoxFamily, axis: int, a: int, b: int) -> tuple[list, list, lis
     return minus, plusminus, plus, zero
 
 
+def _checked_partition(f: BoxFamily, axis: int, a: int, b: int) -> tuple[list, list, list, list]:
+    _check_axis(f, axis)
+    _check_coord(a, "split coordinate a")
+    _check_coord(b, "split coordinate b")
+    if a > b:
+        raise ValueError(f"split coordinates out of order: a={a} > b={b}")
+    return _partition(f.boxes, axis, a, b)
+
+
 def split_three(f: BoxFamily, axis: int, x: int) -> tuple[BoxFamily, BoxFamily, BoxFamily]:
     """Partition into ({r < x}, {interval contains x}, {l > x}) on the axis.
 
     The parts of `split_four(f, axis, x, x)` but its plusminus part, empty
     at a = b; order within each part preserves input order.
     """
-    minus, _, plus, zero = _partition(f, axis, x, x)
+    minus, _, plus, zero = _checked_partition(f, axis, x, x)
     return tuple(f.replace_boxes(part, f.lines) for part in (minus, zero, plus))
 
 
@@ -286,7 +290,7 @@ def split_four(f: BoxFamily, axis: int, a: int, b: int) -> FourWaySplit:
     (l > a and r < b) -> plusminus; everything else -> zero. Zero boxes
     necessarily contain a or b on the axis.
     """
-    parts = (f.replace_boxes(part, f.lines) for part in _partition(f, axis, a, b))
+    parts = (f.replace_boxes(part, f.lines) for part in _checked_partition(f, axis, a, b))
     return FourWaySplit(*parts, a, b)
 
 

@@ -10,34 +10,33 @@ every input box and whose size never exceeds the reported guarantee:
                        lines, emitting at most 3 points per 2 units of
                        packing number; guarantee floor(3*nu/2).
   pierce_planar        three-way split of the plane at two thresholds;
-                       the middle strip crosses a vertical line and is
-                       handed to the two-line sweep. Guarantee h(nu)
-                       under the balanced policy, bound_prop3(nu) under
-                       the DP-optimal policy.
-  pierce_ddim          dimension recursion for d >= 3: split on axis 0,
-                       project the boxes crossing the split hyperplane
-                       one dimension down, recurse. Guarantee
-                       bound_lemma1(nu, d) (balanced) or
-                       bound_prop1(nu, d) (DP-optimal).
+                       the boxes crossing a cut go to the two-line
+                       sweep. Guarantee h(nu) (balanced) or
+                       bound_prop3(nu) (DP-optimal).
+  pierce_ddim          dimension recursion for d >= 3: split on one
+                       axis, pierce the boxes crossing the cut on the
+                       axes after it. Guarantee bound_lemma1(nu, d)
+                       (balanced) or bound_prop1(nu, d) (DP-optimal).
 
-The exact packing number is computed once, at the root; recursive
-calls receive the upper bounds the split inequalities guarantee instead
-of re-solving subfamilies. Both recursions run as one loop over an
-explicit stack in `_pierce`, so no depth or dimension meets Python's
-recursion limit. Thresholds realize the continuous cut
-positions discretely: the left threshold is the smallest right endpoint
-at which the prefix first packs k+1 pairwise-disjoint boxes, which
-keeps every inequality exact. The right threshold is the same search
-over the reflected left endpoints ~lo, since reflecting one axis changes
-no intersection. "Packs 1" means "non-empty", and "packs 2" means "not
-pairwise intersecting", one Helly scan in end order (`oracles._helly_scan`).
-Probes with k >= 2 bisect prefix lengths and ask only "packs k+1?": the
-branch and bound behind `nu_exact` answers, stopping at the first k+1
-disjoint boxes. The two-line sweep sorts its boxes once and runs one
-Helly scan per round over a list of box indices, with no oracle call
-and no family built. Split sizes under the DP-optimal policy come from
-the tables that certify the guarantee (`split_prop3`, `split_prop1`).
-All tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
+The exact packing number is computed once, at the root; deeper steps
+receive the upper bounds the split inequalities guarantee. Both
+recursions run as one loop over an explicit stack in `_pierce`, so no
+depth or dimension meets Python's recursion limit. The paper projects
+the boxes crossing a cut hyperplane one dimension down and lifts the
+points back; each such box contains the cut, so a step keeps the
+root's own boxes and moves on to the next axis instead, and no split
+builds a family, a box or a point. Thresholds realize the continuous
+cuts discretely: the left threshold is the smallest right endpoint at
+which the prefix first packs k+1 pairwise-disjoint boxes, which keeps
+every inequality exact; the right one is the same search over the
+reflected left endpoints ~lo. "Packs 1" means "non-empty", and "packs
+2" means "not pairwise intersecting", one Helly scan in end order
+(`oracles._helly_scan`); for larger k a bisection over prefix lengths
+asks the branch and bound behind `nu_exact` only "packs k+1?".
+The two-line sweep sorts its boxes once and runs one Helly scan per
+round. Split sizes under the DP-optimal policy come from the tables
+that certify the guarantee (`split_prop3`, `split_prop1`). All
+tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
 index), so runs are deterministic.
 """
 
@@ -48,10 +47,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
-from .geometry import (BoxFamily, Point, TwoLines, lift_points, project_onto_hyperplane,
-                       split_four, split_three)
-from .oracles import (DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, check_cap_value,
-                      common_point, nu_exact)
+from .geometry import BoxFamily, Point, TwoLines, _partition
+from .oracles import DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, check_cap_value, nu_exact
+# Uncalled here; bound only because perfbench/tracing.py wraps these names in this module.
+from .geometry import lift_points, project_onto_hyperplane, split_four, split_three  # noqa: F401
+from .oracles import common_point  # noqa: F401
 
 
 class SplitPolicy(str, Enum):
@@ -108,13 +108,9 @@ class _Tracer:
         return node
 
 
-def _report(points, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
-    return PierceReport(
-        points=tuple(points),
-        guarantee=float(guarantee),
-        nu_used=nu_used,
-        trace=tuple(tracer.nodes),
-    )
+def _report(coords, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
+    """The report whose points are `coords`, each built into a `Point` here, once."""
+    return PierceReport(tuple(map(Point, coords)), float(guarantee), nu_used, tuple(tracer.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,7 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
             stabs.append(iv.hi)
     tracer = _Tracer()
     tracer.add(None, 1, op="sweep-1d", bound=len(stabs), sizes=(len(f),))
-    return _report([Point((s,)) for s in stabs], len(stabs), len(stabs), tracer)
+    return _report([(s,) for s in stabs], len(stabs), len(stabs), tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +193,41 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
 
 
 def _two_line_sweep(boxes, lines: TwoLines, bound: int, tracer: _Tracer,
-                    parent: int | None) -> list[Point]:
-    """Sweep planar `boxes`, each meeting a line of `lines`, orthogonally to the lines.
+                    parent: int | None, c: int) -> list[tuple[int, int]]:
+    """Sweep `boxes`, each meeting a line of `lines`, orthogonally to the lines.
 
-    bound >= nu(boxes) is required. The boxes are sorted once by right
-    end on the sweep axis (ties by index); the boxes not yet pierced stay
-    an index list in that order. Per round, the k == 1 threshold t is
-    one Helly scan of that list. The boxes with r < t, a prefix, pack at
-    most one disjoint box, so their common point covers them; the boxes
-    containing t each meet a line, so the points at t on the lines cover
-    them; the boxes with l > t lost two disjoint boxes, so their bound
-    drops by 2. Once the bound is at most 1 the remaining boxes pairwise
-    intersect, so the scan finds no threshold and their common point
-    ends the sweep. No round sorts, calls an oracle or builds a family.
+    The plane is axes c and c + 1 of the boxes; they share a point on
+    every earlier axis. bound >= nu(boxes) is required. The boxes are sorted
+    once by right end on the sweep axis (ties by index); the boxes not
+    yet pierced stay an index list in that order. Per round, the k == 1
+    threshold t is one Helly scan of that list. The boxes with r < t, a
+    prefix, pack at most one disjoint box, so their common point covers
+    them; the boxes containing t each meet a line, so the points at t on
+    the lines cover them; the boxes with l > t lost two disjoint boxes,
+    so their bound drops by 2. Once the bound is at most 1 the remaining
+    boxes pairwise intersect, so the scan finds no threshold and their
+    common point ends the sweep. No round sorts, calls an oracle or
+    builds a family. The points are pairs on the plane.
     """
-    ax = 1 - lines.axis
-    los = [box.sides[ax].lo for box in boxes]
-    his = [box.sides[ax].hi for box in boxes]
+    ax = 1 - lines.axis  # of the plane, axis c + ax of the boxes
+    los = [box.sides[c + ax].lo for box in boxes]
+    his = [box.sides[c + ax].hi for box in boxes]
     remaining = sorted(range(len(boxes)), key=his.__getitem__)
-    points: list[Point] = []
+    points: list[tuple[int, int]] = []
     while remaining:
         i, corner = _helly_scan(boxes, remaining)
         if i is None:
-            points.append(Point(tuple(corner)))
+            points.append((corner[c], corner[c + 1]))
             tracer.add(parent, 2, op="common-point", bound=bound, sizes=(len(remaining),))
             break
         t = his[i]
         n_minus = bisect_left(remaining, t, key=his.__getitem__)
         plus = [j for j in remaining[n_minus:] if los[j] > t]
         if n_minus:
-            points.append(Point(tuple(_helly_scan(boxes, remaining[:n_minus])[1])))
-        for c in sorted({lines.c1, lines.c2}):
-            points.append(Point((t, c) if ax == 0 else (c, t)))
+            corner = _helly_scan(boxes, remaining[:n_minus])[1]
+            points.append((corner[c], corner[c + 1]))
+        for y in sorted({lines.c1, lines.c2}):
+            points.append((t, y) if ax == 0 else (y, t))
         parent = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax, lo=t,
                             sizes=(n_minus, len(remaining) - n_minus - len(plus), len(plus)))
         remaining, bound = plus, bound - 2
@@ -246,18 +245,12 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
         raise ValueError("family carries no two-line certificate")
     root_nu = nu_exact(f, cap).nu
     tracer = _Tracer()
-    points = _two_line_sweep(f.boxes, f.lines, root_nu, tracer, None)
-    return _report(points, (3 * root_nu) // 2, root_nu, tracer)
+    coords = _two_line_sweep(f.boxes, f.lines, root_nu, tracer, None, 0)
+    return _report(coords, (3 * root_nu) // 2, root_nu, tracer)
 
 
 # ---------------------------------------------------------------------------
 # planar and d-dim recursion, on an explicit stack
-
-
-def _balanced_triple(n: int) -> tuple[int, int, int]:
-    q, r = divmod(n - 2, 3)
-    parts = [q + 1] * r + [q] * (3 - r)
-    return parts[0], parts[1], parts[2]
 
 
 def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
@@ -278,16 +271,17 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED
 def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     """Planar and d-dim recursion (d >= 2) from the exact root nu, as one loop.
 
-    A step (family, bound, parent, lifts) needs bound >= nu(family).
-    An empty family needs no point, and one with bound <= 1 is pairwise
-    intersecting, so one common point pierces it. A missing threshold
-    re-pushes the family with the tight bound. Otherwise the family is
-    split on axis 0: a planar one in four parts, whose zero part is a
-    (boxes, lines) step for the two-line sweep, and a higher one in
-    three, whose zero part is projected onto the cut hyperplane and its
-    cut prepended to `lifts`. Children are pushed in reverse, so points
-    and trace nodes come out depth first. Each step's points are lifted
-    through its `lifts`, innermost first.
+    A step (boxes, bound, parent, cuts, lines) needs bound >= nu(boxes).
+    Its root boxes all contain cuts[j] on axis j, the cuts of the
+    hyperplanes above it, outermost first; so it works on the axes from
+    c = len(cuts) on and splits on axis c. An empty step needs no point,
+    and one with bound <= 1 is pairwise intersecting, so one common point
+    pierces it. A missing threshold re-pushes the step with the tight
+    bound. Else, with two axes left, the boxes split in four parts, the
+    zero part a step with the cut `lines` for the two-line sweep; with
+    more, in three, the zero part appending its cut to `cuts`. Children
+    are pushed in reverse, so points and trace nodes come out depth
+    first. A step's points are `cuts` followed by its own coordinates.
     """
     root_nu = nu_exact(f, cap).nu
     balanced = policy is SplitPolicy.BALANCED
@@ -298,55 +292,55 @@ def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
     else:
         guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
     tracer = _Tracer()
-    points: list[Point] = []
-    stack = [(f, root_nu, None, ())]
+    coords: list[tuple[int, ...]] = []
+    stack = [(f.boxes, root_nu, None, (), None)]
     while stack:
-        f, bound, parent, lifts = stack.pop()
-        if type(f) is tuple:  # a planar zero part: (boxes, lines) for the sweep
-            emitted = _two_line_sweep(*f, bound, tracer, parent)
-        elif not len(f):
+        boxes, bound, parent, cuts, lines = stack.pop()
+        c, dim = len(cuts), f.dim - len(cuts)
+        if lines is not None:
+            emitted = _two_line_sweep(boxes, lines, bound, tracer, parent, c)
+        elif not boxes:
             continue
         elif bound <= 1:
-            tracer.add(parent, f.dim, op="common-point", bound=bound, sizes=(len(f),))
-            emitted = [common_point(f)]
+            tracer.add(parent, dim, op="common-point", bound=bound, sizes=(len(boxes),))
+            i, corner = _helly_scan(boxes, range(len(boxes)))
+            if i is not None:  # no single point pierces this part
+                raise ValueError(f"bound {bound} < nu: box {i} of the part misses an earlier box")
+            emitted = [tuple(corner[c:])]
         else:
-            if f.dim == 2:
-                k, l, m = _balanced_triple(bound) if balanced else split_prop3(bound)
+            if dim == 2:  # balanced: k + l + m = bound - 2 split as evenly as can be, largest first
+                k, l, m = ((bound - j) // 3 for j in range(3)) if balanced else split_prop3(bound)
             else:
-                k = (bound - 1) // 2 if balanced else split_prop1(bound, f.dim)
-            a = _threshold(f.boxes, [box.sides[0].hi for box in f.boxes], k)
-            if a is None:  # nu(f) <= k: re-enter with the tight bound
-                stack.append((f, k, parent, lifts))
+                k = (bound - 1) // 2 if balanced else split_prop1(bound, dim)
+            a = _threshold(boxes, [box.sides[c].hi for box in boxes], k)
+            if a is None:  # nu(boxes) <= k: re-enter with the tight bound
+                stack.append((boxes, k, parent, cuts, None))
                 continue
-            if f.dim > 2:
-                minus, zero, plus = split_three(f, 0, a)
-                node = tracer.add(parent, f.dim, op="split-three", bound=bound, axis=0, lo=a,
+            if dim > 2:
+                minus, _, plus, zero = _partition(boxes, c, a, a)
+                node = tracer.add(parent, dim, op="split-three", bound=bound, axis=0, lo=a,
                                   sizes=(len(minus), len(zero), len(plus)))
-                stack += [(plus, bound - k - 1, node, lifts),
-                          (project_onto_hyperplane(zero, 0, a), bound, node, (a, *lifts)),
-                          (minus, k, node, lifts)]
+                stack += [(plus, bound - k - 1, node, cuts, None),
+                          (zero, bound, node, (*cuts, a), None),
+                          (minus, k, node, cuts, None)]
                 continue
-            b = _threshold(f.boxes, [~box.sides[0].lo for box in f.boxes], m)
+            b = _threshold(boxes, [~box.sides[c].lo for box in boxes], m)
             if b is None:
-                stack.append((f, m, parent, lifts))
+                stack.append((boxes, m, parent, cuts, None))
                 continue
             # The right threshold is ~b. If a > ~b, both packing prefixes overrun
             # each other; every cut point between them leaves {r < a} packing <= k
             # and {l > a} packing <= m, so collapse to the single line x = a (the
             # middle part is then empty and the crossing boxes form a one-line family).
             b = max(a, ~b)
-            parts = split_four(f, 0, a, b)
+            minus, plusminus, plus, zero = _partition(boxes, c, a, b)
             node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
-                              sizes=(len(parts.minus), len(parts.plusminus),
-                                     len(parts.plus), len(parts.zero)))
-            stack += [((parts.zero.boxes, TwoLines(0, a, b)), bound, node, lifts),
-                      (parts.plus, m, node, lifts), (parts.plusminus, l, node, lifts),
-                      (parts.minus, k, node, lifts)]
+                              sizes=(len(minus), len(plusminus), len(plus), len(zero)))
+            stack += [(zero, bound, node, cuts, TwoLines(0, a, b)), (plus, m, node, cuts, None),
+                      (plusminus, l, node, cuts, None), (minus, k, node, cuts, None)]
             continue
-        for a in lifts:
-            emitted = lift_points(emitted, 0, a)
-        points += emitted
-    return _report(points, guarantee, root_nu, tracer)
+        coords += [cuts + p for p in emitted]
+    return _report(coords, guarantee, root_nu, tracer)
 
 
 def pierce_ddim(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
@@ -354,10 +348,10 @@ def pierce_ddim(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
     """Pierce a family of any dimension.
 
     Dispatches to the interval sweep at d=1 and the planar recursion at
-    d=2. For d >= 3, splits on axis 0 at a packing threshold, recurses
-    on the outer parts in the same dimension, and pierces the boxes
-    crossing the split hyperplane by projecting them one dimension down
-    and lifting the resulting points back.
+    d=2. For d >= 3, splits on the first axis left at a packing
+    threshold, recurses on the outer parts in the same dimension, and
+    pierces the boxes crossing the split hyperplane on the axes after
+    it, each point taking the cut as that axis's coordinate.
     """
     policy = SplitPolicy(policy)
     if f.dim == 1:

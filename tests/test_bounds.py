@@ -86,6 +86,24 @@ def test_lemma1_past_a_double_is_refused():
         bound_lemma1(5, 842)
     with pytest.raises(ValueError, match=r"\(5, 842\)"):
         build_table(BoundRule.LEMMA1, 5, 900)
+    with pytest.raises(ValueError, match=r"\(5, 1500\)"):  # also once the column ends in inf
+        bound_lemma1(5, 1500)
+
+
+def test_lemma1_table_takes_one_log2_per_cell(monkeypatch):
+    cells = 3 * (1539 - 1)  # n = 1..3 at d = 2..1539, where the table stops
+    calls = []
+    log2 = math.log2
+
+    def counted_log2(x):
+        calls.append(x)
+        assert len(calls) <= cells, "math.log2 called more than once per cell"
+        return log2(x)
+
+    monkeypatch.setattr(math, "log2", counted_log2)
+    with pytest.raises(ValueError, match=r"\(3, 1539\)"):  # n = 3 leaves a double there
+        build_table(BoundRule.LEMMA1, 3, 2000)
+    assert calls
 
 
 # --- quadratic planar rule ---------------------------------------------------

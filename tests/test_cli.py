@@ -1,9 +1,11 @@
 """CLI contract: subcommands, exit codes, pipes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 CMD = [sys.executable, "-m", "boxpierce"]
 
@@ -126,6 +128,28 @@ def test_bounds_bad_rule_rejected():
     assert res.returncode == 2
     res = run("bounds", "prop1", "5", "0")
     assert res.returncode == 2 and res.stdout == ""
+
+
+def _leaf_parsers(parser, path=("boxpierce",)):
+    """(command words, parser) of every subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_readme_synopsis_lists_every_option():
+    from boxpierce import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI", 1)[1].split("```")[1].splitlines()
+    for path, parser in _leaf_parsers(cli._build_parser()):
+        line = next(line for line in synopsis if line.split()[:len(path)] == list(path))
+        words = line.replace("[", " ").replace("]", " ").split()
+        for action in parser._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                assert option in words, (" ".join(path), option)
 
 
 # sha256 of `bounds RULE 20 D` stdout; every cell of every rule at d <= 4

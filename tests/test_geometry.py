@@ -164,6 +164,17 @@ def test_split_four_rejects_reversed_thresholds():
         split_four(family_1d([(0, 1)]), 0, 4, 2)
 
 
+def test_public_splits_and_projection_check_axis_and_coordinates():
+    f = family([((0, 2), (0, 2))])
+    for bad, match in ((lambda: split_three(f, 2, 1), "axis 2 out of range"),
+                       (lambda: split_four(f, -1, 1, 1), "axis -1 out of range"),
+                       (lambda: split_three(f, 0, 2**63), "split coordinate a"),
+                       (lambda: split_four(f, 0, 0, 2**63), "split coordinate b"),
+                       (lambda: project_onto_hyperplane(f, 2, 1), "axis 2 out of range")):
+        with pytest.raises(ValueError, match=match):
+            bad()
+
+
 families_st = st.integers(1, 2).flatmap(
     lambda d: st.lists(
         st.tuples(*[

@@ -1,7 +1,9 @@
 """Piercing algorithms: worked examples, guarantees, recursion structure."""
 
 import hashlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from boxpierce import (
     Box,
     BoxFamily,
+    Point,
     RandomSpec,
     SplitPolicy,
     TwoLines,
@@ -341,11 +344,46 @@ def test_families_built_by_splits_and_sweeps(monkeypatch):
     assert len(split_four(fam, 0, 300, 600)) == 6 and len(built) == 7
     rep = pierce_two_lines(fam, cap=40)  # the sweep builds no family in any round
     assert len(built) == 7 and [t.op for t in rep.trace].count("two-line-step") >= 3
-    for policy in SplitPolicy:  # each planar split builds its four parts, its sweep none
+    for policy in SplitPolicy:  # planar splits partition the root's boxes: no family either
         del built[:]
         rep = pierce_planar(fam, policy, cap=40)
-        splits = [t.op for t in rep.trace].count("split-four")
-        assert splits >= 3 and len(built) == 4 * splits
+        assert [t.op for t in rep.trace].count("split-four") >= 3 and built == []
+
+
+def test_ddim_builds_no_family_or_box_and_one_point_per_emitted_point(monkeypatch):
+    fams = [gen_random(RandomSpec(n_boxes=n, dim=dim, coord_range=(0, 1000), seed=dim))
+            for dim, n in ((3, 40), (5, 14))]
+    built = dict.fromkeys((BoxFamily, Box, Point), 0)
+    for cls in built:
+        def counted_init(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    for fam in fams:
+        for policy in SplitPolicy:
+            built.update(dict.fromkeys(built, 0))
+            rep = pierce_ddim(fam, policy, cap=len(fam))
+            assert [t.op for t in rep.trace].count("split-three") >= 2
+            assert built == {BoxFamily: 0, Box: 0, Point: rep.size}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_part_whose_bound_is_below_nu_raises_instead_of_missing_a_box(monkeypatch, dim):
+    disjoint = family([[(0, 1)] * dim, [(5, 6)] * dim])
+    monkeypatch.setattr(piercing, "nu_exact", lambda f, cap: type("R", (), {"nu": 1}))
+    with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses an earlier box"):
+        pierce_ddim(disjoint)
+
+
+def test_every_callee_the_benchmark_tracer_wraps_is_bound_in_piercing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PIERCING_CALLEES
+    for name in tracing.PIERCING_CALLEES:
+        assert callable(getattr(piercing, name, None)), name
 
 
 # --- planar recursion ----------------------------------------------------------

@@ -133,9 +133,11 @@ def split_prop3(n: int) -> tuple[int, int, int]:
 def bound_prop1(n: int, d: int) -> int:
     """Pairwise-split DP value at (n, d), self-contained per dimension.
 
-    The d-1 column is this same rule's table (F(n,1) = n at the bottom),
-    which is exactly what the same-dimension recursion of the
-    dimension-reducing piercing algorithm achieves; see pierce_ddim.
+    The d-1 column is this same rule's table (F(n,1) = n at the bottom).
+    pierce_ddim's DP-optimal policy splits by this table down to the
+    plane, but pierces the last two axes by the four-way planar split,
+    which achieves bound_prop3 there. Its guarantee still holds because
+    bound_prop3(n) <= bound_prop1(n, 2).
     """
     _check_n(n, d)
     if d == 1:

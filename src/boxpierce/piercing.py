@@ -19,30 +19,29 @@ every input box and whose size never exceeds the reported guarantee:
                        (balanced) or bound_prop1(nu, d) (DP-optimal).
 
 The exact packing number is computed once, at the root; deeper steps
-receive the upper bounds the split inequalities guarantee. Both
-recursions run as one loop over an explicit stack in `_pierce`, so no
-depth or dimension meets Python's recursion limit. The paper projects
-the boxes crossing a cut hyperplane one dimension down and lifts the
-points back; each such box contains the cut, so a step keeps the
-root's own boxes and moves on to the next axis instead, and no split
-builds a family, a box or a point. Thresholds realize the continuous
-cuts discretely: the left threshold is the smallest right endpoint at
-which the prefix first packs k+1 pairwise-disjoint boxes, which keeps
-every inequality exact; the right one is the same search over the
-reflected left endpoints ~lo. "Packs 1" means "non-empty", and "packs
-2" means "not pairwise intersecting", one Helly scan in end order
-(`oracles._helly_scan`); for larger k a bisection over prefix lengths
-asks the branch and bound behind `nu_exact` only "packs k+1?".
-The two-line sweep sorts its boxes once and runs one Helly scan per
-round. Split sizes under the DP-optimal policy come from the tables
-that certify the guarantee (`split_prop3`, `split_prop1`). All
+receive the upper bounds the split inequalities guarantee. The sweep
+and both recursions run as one loop over an explicit stack in
+`_pierce`, so no depth or dimension meets Python's recursion limit.
+The paper projects the boxes crossing a cut hyperplane one dimension
+down and lifts the points back; each such box contains the cut, so a
+step keeps the root's own boxes and moves on to the next axis instead,
+and no split builds a family, a box or a point. Thresholds realize the
+continuous cuts discretely: the left threshold is the smallest right
+endpoint at which the prefix first packs k+1 pairwise-disjoint boxes,
+which keeps every inequality exact; the right one is the same search
+over the reflected left endpoints ~lo. "Packs 1" means "non-empty",
+and "packs 2" means "not pairwise intersecting", one Helly scan in end
+order (`oracles._helly_scan`); for larger k a bisection over prefix
+lengths asks the branch and bound behind `nu_exact` only "packs k+1?".
+A sweep step is sorted when pushed; each round is one step and one
+Helly scan. Split sizes under the DP-optimal policy come from the
+tables that certify the guarantee (`split_prop3`, `split_prop1`). All
 tie-breaking is fixed (lowest axis, smallest coordinate, lowest box
 index), so runs are deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple
 
@@ -189,49 +188,7 @@ def pierce_intervals_1d(f: BoxFamily) -> PierceReport:
 
 
 # ---------------------------------------------------------------------------
-# two-line sweep
-
-
-def _two_line_sweep(boxes, lines: TwoLines, bound: int, tracer: _Tracer,
-                    parent: int | None, c: int) -> list[tuple[int, int]]:
-    """Sweep `boxes`, each meeting a line of `lines`, orthogonally to the lines.
-
-    The plane is axes c and c + 1 of the boxes; they share a point on
-    every earlier axis. bound >= nu(boxes) is required. The boxes are sorted
-    once by right end on the sweep axis (ties by index); the boxes not
-    yet pierced stay an index list in that order. Per round, the k == 1
-    threshold t is one Helly scan of that list. The boxes with r < t, a
-    prefix, pack at most one disjoint box, so their common point covers
-    them; the boxes containing t each meet a line, so the points at t on
-    the lines cover them; the boxes with l > t lost two disjoint boxes,
-    so their bound drops by 2. Once the bound is at most 1 the remaining
-    boxes pairwise intersect, so the scan finds no threshold and their
-    common point ends the sweep. No round sorts, calls an oracle or
-    builds a family. The points are pairs on the plane.
-    """
-    ax = 1 - lines.axis  # of the plane, axis c + ax of the boxes
-    los = [box.sides[c + ax].lo for box in boxes]
-    his = [box.sides[c + ax].hi for box in boxes]
-    remaining = sorted(range(len(boxes)), key=his.__getitem__)
-    points: list[tuple[int, int]] = []
-    while remaining:
-        i, corner = _helly_scan(boxes, remaining)
-        if i is None:
-            points.append((corner[c], corner[c + 1]))
-            tracer.add(parent, 2, op="common-point", bound=bound, sizes=(len(remaining),))
-            break
-        t = his[i]
-        n_minus = bisect_left(remaining, t, key=his.__getitem__)
-        plus = [j for j in remaining[n_minus:] if los[j] > t]
-        if n_minus:
-            corner = _helly_scan(boxes, remaining[:n_minus])[1]
-            points.append((corner[c], corner[c + 1]))
-        for y in sorted({lines.c1, lines.c2}):
-            points.append((t, y) if ax == 0 else (y, t))
-        parent = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax, lo=t,
-                            sizes=(n_minus, len(remaining) - n_minus - len(plus), len(plus)))
-        remaining, bound = plus, bound - 2
-    return points
+# two-line sweep, planar and d-dim recursion, on an explicit stack
 
 
 def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
@@ -243,14 +200,7 @@ def pierce_two_lines(f: BoxFamily, cap: int = DEFAULT_CAP) -> PierceReport:
         raise ValueError(f"two-line piercing needs a planar family, got dimension {f.dim}")
     if f.lines is None:
         raise ValueError("family carries no two-line certificate")
-    root_nu = nu_exact(f, cap).nu
-    tracer = _Tracer()
-    coords = _two_line_sweep(f.boxes, f.lines, root_nu, tracer, None, 0)
-    return _report(coords, (3 * root_nu) // 2, root_nu, tracer)
-
-
-# ---------------------------------------------------------------------------
-# planar and d-dim recursion, on an explicit stack
+    return _pierce(f, None, cap)
 
 
 def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED,
@@ -268,24 +218,40 @@ def pierce_planar(f: BoxFamily, policy: SplitPolicy | str = SplitPolicy.BALANCED
     return _pierce(f, policy, cap)
 
 
-def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
-    """Planar and d-dim recursion (d >= 2) from the exact root nu, as one loop.
+def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
+    """Two-line sweep (policy None: over `f.lines`) and planar and d-dim recursion, as one loop.
 
     A step (boxes, bound, parent, cuts, lines) needs bound >= nu(boxes).
     Its root boxes all contain cuts[j] on axis j, the cuts of the
     hyperplanes above it, outermost first; so it works on the axes from
-    c = len(cuts) on and splits on axis c. An empty step needs no point,
-    and one with bound <= 1 is pairwise intersecting, so one common point
-    pierces it. A missing threshold re-pushes the step with the tight
-    bound. Else, with two axes left, the boxes split in four parts, the
-    zero part a step with the cut `lines` for the two-line sweep; with
-    more, in three, the zero part appending its cut to `cuts`. Children
-    are pushed in reverse, so points and trace nodes come out depth
-    first. A step's points are `cuts` followed by its own coordinates.
+    c = len(cuts) on and splits on axis c. An empty step needs no point.
+    A sweep step (`lines` set) has two axes left, every box meeting a
+    line, and its boxes are sorted by right end across the lines (ties
+    in input order) when it is pushed. It, and a step with bound <= 1,
+    runs one Helly scan: with no disjoint pair, their common point
+    pierces the step; a bound <= 1 step with one has bound < nu and
+    raises. Else a sweep round cuts at t, the right end of the scan's
+    box, the first to miss an earlier one: the boxes ending before t, a
+    prefix, pack at most one disjoint box, so their common point covers
+    them; the boxes containing t each meet a line, so the points at t on
+    the lines cover them; the boxes starting after t miss both boxes of
+    that disjoint pair, so they are the next step, still sorted, with
+    bound - 2. A split step that misses a threshold re-pushes itself
+    with the tight bound. Else, with two axes left, the
+    boxes split in four parts, the zero part a sweep step on the cut
+    lines; with more, in three, the zero part appending its cut to
+    `cuts`. Children are pushed in reverse, so points and trace nodes
+    come out depth first. A step's points are `cuts` followed by its own
+    coordinates.
     """
     root_nu = nu_exact(f, cap).nu
     balanced = policy is SplitPolicy.BALANCED
-    if root_nu == 0:
+    boxes, lines = f.boxes, None
+    if policy is None:  # the root is one sweep step
+        lines = f.lines
+        boxes = sorted(boxes, key=lambda box: box.sides[1 - lines.axis].hi)
+        guarantee = (3 * root_nu) // 2
+    elif root_nu == 0:
         guarantee = 0.0
     elif f.dim == 2:
         guarantee = h(root_nu) if balanced else bound_prop3(root_nu)
@@ -293,53 +259,65 @@ def _pierce(f: BoxFamily, policy: SplitPolicy, cap: int) -> PierceReport:
         guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
     tracer = _Tracer()
     coords: list[tuple[int, ...]] = []
-    stack = [(f.boxes, root_nu, None, (), None)]
+    stack = [(boxes, root_nu, None, (), lines)]
     while stack:
         boxes, bound, parent, cuts, lines = stack.pop()
+        if not boxes:
+            continue
         c, dim = len(cuts), f.dim - len(cuts)
-        if lines is not None:
-            emitted = _two_line_sweep(boxes, lines, bound, tracer, parent, c)
-        elif not boxes:
-            continue
-        elif bound <= 1:
-            tracer.add(parent, dim, op="common-point", bound=bound, sizes=(len(boxes),))
+        if lines is not None or bound <= 1:
             i, corner = _helly_scan(boxes, range(len(boxes)))
-            if i is not None:  # no single point pierces this part
+            if i is None:
+                tracer.add(parent, dim, op="common-point", bound=bound, sizes=(len(boxes),))
+                coords.append(cuts + tuple(corner[c:]))
+                continue
+            if bound <= 1:  # no single point pierces this part
                 raise ValueError(f"bound {bound} < nu: box {i} of the part misses an earlier box")
-            emitted = [tuple(corner[c:])]
-        else:
-            if dim == 2:  # balanced: k + l + m = bound - 2 split as evenly as can be, largest first
-                k, l, m = ((bound - j) // 3 for j in range(3)) if balanced else split_prop3(bound)
-            else:
-                k = (bound - 1) // 2 if balanced else split_prop1(bound, dim)
-            a = _threshold(boxes, [box.sides[c].hi for box in boxes], k)
-            if a is None:  # nu(boxes) <= k: re-enter with the tight bound
-                stack.append((boxes, k, parent, cuts, None))
-                continue
-            if dim > 2:
-                minus, _, plus, zero = _partition(boxes, c, a, a)
-                node = tracer.add(parent, dim, op="split-three", bound=bound, axis=0, lo=a,
-                                  sizes=(len(minus), len(zero), len(plus)))
-                stack += [(plus, bound - k - 1, node, cuts, None),
-                          (zero, bound, node, (*cuts, a), None),
-                          (minus, k, node, cuts, None)]
-                continue
-            b = _threshold(boxes, [~box.sides[c].lo for box in boxes], m)
-            if b is None:
-                stack.append((boxes, m, parent, cuts, None))
-                continue
-            # The right threshold is ~b. If a > ~b, both packing prefixes overrun
-            # each other; every cut point between them leaves {r < a} packing <= k
-            # and {l > a} packing <= m, so collapse to the single line x = a (the
-            # middle part is then empty and the crossing boxes form a one-line family).
-            b = max(a, ~b)
-            minus, plusminus, plus, zero = _partition(boxes, c, a, b)
-            node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
-                              sizes=(len(minus), len(plusminus), len(plus), len(zero)))
-            stack += [(zero, bound, node, cuts, TwoLines(0, a, b)), (plus, m, node, cuts, None),
-                      (plusminus, l, node, cuts, None), (minus, k, node, cuts, None)]
+            ax = c + 1 - lines.axis  # the sweep axis, across the lines
+            t = boxes[i].sides[ax].hi
+            n_minus = i  # boxes before i end at or before t; step back over those at t
+            while n_minus and boxes[n_minus - 1].sides[ax].hi == t:
+                n_minus -= 1
+            plus = [box for box in boxes[n_minus:] if box.sides[ax].lo > t]
+            if n_minus:
+                coords.append(cuts + tuple(_helly_scan(boxes, range(n_minus))[1][c:]))
+            coords += [cuts + ((t, y) if ax == c else (y, t))
+                       for y in sorted({lines.c1, lines.c2})]
+            node = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax - c, lo=t,
+                              sizes=(n_minus, len(boxes) - n_minus - len(plus), len(plus)))
+            stack.append((plus, bound - 2, node, cuts, lines))
             continue
-        coords += [cuts + p for p in emitted]
+        if dim == 2:  # balanced: k + l + m = bound - 2 split as evenly as can be, largest first
+            k, l, m = ((bound - j) // 3 for j in range(3)) if balanced else split_prop3(bound)
+        else:
+            k = (bound - 1) // 2 if balanced else split_prop1(bound, dim)
+        a = _threshold(boxes, [box.sides[c].hi for box in boxes], k)
+        if a is None:  # nu(boxes) <= k: re-enter with the tight bound
+            stack.append((boxes, k, parent, cuts, None))
+            continue
+        if dim > 2:
+            minus, _, plus, zero = _partition(boxes, c, a, a)
+            node = tracer.add(parent, dim, op="split-three", bound=bound, axis=0, lo=a,
+                              sizes=(len(minus), len(zero), len(plus)))
+            stack += [(plus, bound - k - 1, node, cuts, None),
+                      (zero, bound, node, (*cuts, a), None),
+                      (minus, k, node, cuts, None)]
+            continue
+        b = _threshold(boxes, [~box.sides[c].lo for box in boxes], m)
+        if b is None:
+            stack.append((boxes, m, parent, cuts, None))
+            continue
+        # The right threshold is ~b. If a > ~b, both packing prefixes overrun
+        # each other; every cut point between them leaves {r < a} packing <= k
+        # and {l > a} packing <= m, so collapse to the single line x = a (the
+        # middle part is then empty and the crossing boxes form a one-line family).
+        b = max(a, ~b)
+        minus, plusminus, plus, zero = _partition(boxes, c, a, b)
+        node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
+                          sizes=(len(minus), len(plusminus), len(plus), len(zero)))
+        zero.sort(key=lambda box: box.sides[c + 1].hi)  # a sweep step across lines on axis 0
+        stack += [(zero, bound, node, cuts, TwoLines(0, a, b)), (plus, m, node, cuts, None),
+                  (plusminus, l, node, cuts, None), (minus, k, node, cuts, None)]
     return _report(coords, guarantee, root_nu, tracer)
 
 

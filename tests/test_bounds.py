@@ -141,7 +141,7 @@ def test_asymptotic_constant():
 # --- rule relations ----------------------------------------------------------
 
 def test_prop3_refines_prop1_in_plane():
-    assert all(bound_prop3(n) <= bound_prop1(n, 2) for n in range(2, 51))
+    assert all(bound_prop3(n) <= bound_prop1(n, 2) for n in range(2, 301))
 
 
 def test_prop3_below_h():

@@ -205,7 +205,7 @@ def test_threshold_probes_match_nu_search_up_to_k4(fam, axis, k):
 
 @settings(max_examples=200, deadline=None)
 @given(families(14), st.integers(0, 2), st.integers(0, 13))
-def test_packs_decides_prefix_packing(fam, axis, cut):
+def test_max_disjoint_decides_prefix_packing(fam, axis, cut):
     # the prefix {r <= x} at the cut-th smallest right endpoint, as a probe sees it:
     # the adjacency is over the boxes in end order, so the prefix is a low-bit mask
     axis %= fam.dim
@@ -220,7 +220,7 @@ def test_packs_decides_prefix_packing(fam, axis, cut):
 
 @settings(max_examples=300, deadline=None)
 @given(families(14), st.data())
-def test_packs_is_exact_in_any_order(fam, data):
+def test_max_disjoint_decision_is_exact_in_any_order(fam, data):
     # a poor order weakens the greedy pass, so the search decides more
     order = data.draw(st.permutations(range(len(fam))))
     boxes = [fam.boxes[i] for i in order]
@@ -317,6 +317,24 @@ def test_two_lines_guarantee_on_random_instances():
         assert tau_exact(fam).tau <= rep.size
 
 
+def transposed(fam):
+    """`fam` with its two sides swapped, so its lines move to the other axis."""
+    boxes = tuple(Box.from_bounds(box.bounds()[::-1]) for box in fam.boxes)
+    return BoxFamily(2, boxes, TwoLines(1 - fam.lines.axis, fam.lines.c1, fam.lines.c2))
+
+
+def test_two_lines_on_either_axis_give_transposed_reports():
+    fams = [gen_random(RandomSpec(n_boxes=seed % 25, coord_range=(0, 30 if seed % 3 else 1000),
+                                  seed=1000 + seed, two_line=True)) for seed in range(300)]
+    fams += [gen_extremal_two_line(n) for n in range(1, 14)]
+    for fam in fams:
+        rep, flipped = pierce_two_lines(fam, cap=64), pierce_two_lines(transposed(fam), cap=64)
+        assert flipped.points == tuple(Point(p.coords[::-1]) for p in rep.points)
+        assert (flipped.guarantee, flipped.nu_used) == (rep.guarantee, rep.nu_used)
+        assert [t if t.axis is None else t._replace(axis=1 - t.axis)
+                for t in flipped.trace] == list(rep.trace)
+
+
 def test_two_line_sweep_solves_nu_only_at_the_root(monkeypatch):
     calls = []
 
@@ -325,6 +343,8 @@ def test_two_line_sweep_solves_nu_only_at_the_root(monkeypatch):
         return nu_exact(f, cap)
 
     monkeypatch.setattr(piercing, "nu_exact", counting_nu_exact)
+    for name in ("h", "bound_prop3", "bound_prop1", "bound_lemma1"):  # nor any bound rule
+        monkeypatch.setattr(piercing, name, None)
     rep = pierce_two_lines(gen_extremal_two_line(16), cap=40)
     assert calls == [40]
     assert rep.size == 24 and rep.guarantee == 24
@@ -374,6 +394,9 @@ def test_a_part_whose_bound_is_below_nu_raises_instead_of_missing_a_box(monkeypa
     monkeypatch.setattr(piercing, "nu_exact", lambda f, cap: type("R", (), {"nu": 1}))
     with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses an earlier box"):
         pierce_ddim(disjoint)
+    if dim == 2:  # a sweep step checks the same: each box meets one of the lines y = 0, y = 5
+        with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses"):
+            pierce_two_lines(disjoint.replace_boxes(disjoint.boxes, TwoLines(1, 0, 5)))
 
 
 def test_every_callee_the_benchmark_tracer_wraps_is_bound_in_piercing():
@@ -628,6 +651,16 @@ def test_points_never_exceed_guarantee_structurally():
     rep = pierce_two_lines(fam)
     assert rep.size <= rep.guarantee
     assert rep.nu_used == 2
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library tour")) + len("```python\n")
+    # padded, so that a traceback names README's own lines
+    tour = "\n" * readme[:start].count("\n") + readme[start:readme.index("```", start)]
+    scope = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    assert is_sound(scope["fam3d"], scope["rep"].points)
 
 
 # sha256 over repr((points, guarantee, nu_used, trace)) of every report in the sweep below

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from functools import reduce
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -57,27 +56,38 @@ class TauResult(NamedTuple):
     witness: tuple[Point, ...]
 
 
+def _meeting(los, his, starts, ends, masks: list[int]) -> None:
+    """On one axis, AND into masks[j] the boxes whose side meets [starts[j], ends[j]].
+
+    Box i's side is [los[i], his[i]]; it meets [a, b] iff los[i] <= b
+    and his[i] >= a. Either condition selects a prefix of the boxes
+    sorted by lo or by hi, found by bisection, so no side is compared
+    with a span one by one.
+    """
+    n = len(los)
+    by_lo = sorted(range(n), key=los.__getitem__)
+    by_hi = sorted(range(n), key=his.__getitem__)
+    lo_upto = list(itertools.accumulate((1 << i for i in by_lo), or_, initial=0))
+    hi_from = list(itertools.accumulate((1 << i for i in reversed(by_hi)), or_, initial=0))
+    sorted_lo, sorted_hi = sorted(los), sorted(his)
+    for j in range(len(masks)):
+        masks[j] &= (lo_upto[bisect_right(sorted_lo, ends[j])]
+                     & hi_from[n - bisect_left(sorted_hi, starts[j])])
+
+
 def _adjacency(boxes) -> list[int]:
     """Bitmask per box of the other boxes it intersects.
 
-    Closed intervals overlap iff each one's lo is at most the other's hi.
-    Per axis, either condition selects a prefix of the boxes sorted by lo
-    or by hi, found by bisection; a box's mask is the AND of its 2d
-    prefix masks, so no pair of boxes is compared one by one.
+    Boxes intersect iff their sides meet on every axis, so a box's mask
+    is the AND over the axes of the boxes meeting its side there, less
+    its own bit.
     """
     n = len(boxes)
     adj = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     for ax in range(boxes[0].dim if n else 0):
         los = [b.sides[ax].lo for b in boxes]
         his = [b.sides[ax].hi for b in boxes]
-        by_lo = sorted(range(n), key=los.__getitem__)
-        by_hi = sorted(range(n), key=his.__getitem__)
-        lo_upto = list(itertools.accumulate((1 << i for i in by_lo), or_, initial=0))
-        hi_from = list(itertools.accumulate((1 << i for i in reversed(by_hi)), or_, initial=0))
-        sorted_lo, sorted_hi = sorted(los), sorted(his)
-        for i in range(n):  # {lo <= his[i]} & {hi >= los[i]}
-            adj[i] &= (lo_upto[bisect_right(sorted_lo, his[i])]
-                       & hi_from[n - bisect_left(sorted_hi, los[i])])
+        _meeting(los, his, los, his, adj)
     return adj
 
 
@@ -155,6 +165,14 @@ def _max_disjoint(adj: list[int], avail: int, enough: int | None = None) -> int:
     return best
 
 
+def _packing(adj: list[int]) -> int:
+    """The witness of `nu_exact` as a mask: each component's search, joined."""
+    best = 0
+    for comp in _components(adj):
+        best |= _max_disjoint(adj, comp)
+    return best
+
+
 def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
     """Exact packing number: maximum independent set in the intersection graph.
 
@@ -166,12 +184,14 @@ def nu_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> NuResult:
     component's lexicographically greatest one.
     """
     check_cap(f, cap)
-    adj = _adjacency(f.boxes)
-    best = 0
-    for comp in _components(adj):
-        best |= _max_disjoint(adj, comp)
+    best = _packing(_adjacency(f.boxes))
     witness = tuple(i for i in range(len(f)) if (best >> i) & 1)
     return NuResult(len(witness), witness)
+
+
+def _grid_axes(boxes) -> list[list[int]]:
+    """The candidate grid's coordinates: per axis, the distinct left endpoints, increasing."""
+    return [sorted({b.sides[ax].lo for b in boxes}) for ax in range(boxes[0].dim)]
 
 
 def candidate_grid(f: BoxFamily) -> list[Point]:
@@ -184,8 +204,7 @@ def candidate_grid(f: BoxFamily) -> list[Point]:
     """
     if not f.boxes:
         raise ValueError("candidate grid of an empty family is undefined")
-    per_axis = [sorted({b.sides[ax].lo for b in f.boxes}) for ax in range(f.dim)]
-    return [Point(coords) for coords in itertools.product(*per_axis)]
+    return [Point(coords) for coords in itertools.product(*_grid_axes(f.boxes))]
 
 
 def tau_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> TauResult:
@@ -197,26 +216,46 @@ def tau_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> TauResult:
     greedy pairwise-disjoint count of the uncovered boxes prunes
     branches that cannot finish within the remaining depth. The search
     runs on an explicit stack, so a large cap hits no recursion limit.
+
+    A grid point is its rank in `candidate_grid` order, and its cover
+    (the boxes it lies in) and the ranks inside each box are built one
+    axis at a time: a point is built only for the witness.
     """
-    nu = nu_exact(f, cap).nu
-    if nu == 0:
-        return TauResult(0, ())
+    check_cap(f, cap)
     boxes = f.boxes
+    if not boxes:
+        return TauResult(0, ())
     n = len(boxes)
-    grid = candidate_grid(f)
-    # a point's cover is the AND over its axes of the boxes whose side holds its coordinate
-    holds = [{c: sum(1 << i for i, b in enumerate(boxes) if b.sides[ax].contains(c))
-              for c in {p.coords[ax] for p in grid}} for ax in range(f.dim)]
-    covers = [reduce(and_, map(dict.__getitem__, holds, p.coords)) for p in grid]
-    inside = [[g for g, mask in enumerate(covers) if mask >> i & 1] for i in range(n)]
     adj = _adjacency(boxes)
+    axes = _grid_axes(boxes)
+    # A cover is the AND over the axes of the boxes whose side holds the point's
+    # coordinate there, and the ranks inside box i are the product of its side's
+    # rank ranges; both grow axis by axis in product order, the last axis fastest.
+    covers, inside = [-1], [[0]] * n
+    for ax, coords in enumerate(axes):
+        los = [b.sides[ax].lo for b in boxes]
+        his = [b.sides[ax].hi for b in boxes]
+        m = len(coords)
+        holds = [-1] * m
+        _meeting(los, his, coords, coords, holds)
+        covers = [cover & hold for cover in covers for hold in holds]
+        spans = [range(bisect_left(coords, lo), bisect_right(coords, hi)) for lo, hi in zip(los, his)]
+        inside = [[g * m + r for g in ranks for r in span] for ranks, span in zip(inside, spans)]
+
+    def point(g: int) -> Point:
+        coords = []
+        for axis in reversed(axes):
+            g, r = divmod(g, len(axis))
+            coords.append(axis[r])
+        return Point(coords[::-1])
+
     # One point per box always suffices, so some t <= n is feasible.
-    for t in range(nu, n + 1):
+    for t in range(_packing(adj).bit_count(), n + 1):
         stack = [((1 << n) - 1, t, ())]
         while stack:
             uncovered, depth_left, chosen = stack.pop()
             if not uncovered:
-                return TauResult(t, tuple(grid[g] for g in chosen))
+                return TauResult(t, tuple(map(point, chosen)))
             if depth_left and _greedy_disjoint(adj, uncovered).bit_count() <= depth_left:
                 i = (uncovered & -uncovered).bit_length() - 1
                 # pushed in reverse, so children pop in grid order
@@ -225,17 +264,18 @@ def tau_exact(f: BoxFamily, cap: int = DEFAULT_CAP) -> TauResult:
     raise AssertionError("unreachable: piercing with one point per box must exist")
 
 
-def _helly_scan(boxes, order) -> tuple[int | None, list[int]]:
-    """First box of `order` (non-empty) whose prefix packs 2, or None; and the running max lo.
+def _helly_scan(boxes) -> tuple[int | None, list[int]]:
+    """Position of the first box whose prefix packs 2, or None; and the running max lo.
 
     Boxes pairwise intersect iff max lo <= min hi on every axis (Helly
-    per axis), so one pass keeping those extremes finds that box. With
-    None, the max lo per axis is a point in every box of `order`.
+    per axis), so one pass over `boxes` (non-empty), in the order given,
+    keeping those extremes finds that box. With None, the max lo per
+    axis is a point in every box.
     """
-    max_lo = [iv.lo for iv in boxes[order[0]].sides]
-    min_hi = [iv.hi for iv in boxes[order[0]].sides]
-    for i in order:
-        for ax, iv in enumerate(boxes[i].sides):
+    max_lo = [iv.lo for iv in boxes[0].sides]
+    min_hi = [iv.hi for iv in boxes[0].sides]
+    for i, box in enumerate(boxes):
+        for ax, iv in enumerate(box.sides):
             if iv.lo > max_lo[ax]:
                 max_lo[ax] = iv.lo
             if iv.hi < min_hi[ax]:
@@ -253,7 +293,7 @@ def common_point(f: BoxFamily) -> Point:
     """
     if not f.boxes:
         raise ValueError("common point of an empty family is undefined")
-    i, corner = _helly_scan(f.boxes, range(len(f)))
+    i, corner = _helly_scan(f.boxes)
     if i is None:
         return Point(tuple(corner))
     j = next(j for j in range(i) if not intersects(f.boxes[j], f.boxes[i]))

@@ -144,10 +144,11 @@ def _threshold(boxes, ends, k: int) -> int | None:
     if k == 0:
         return min(ends)
     order = sorted(range(len(boxes)), key=ends.__getitem__)
+    boxes = [boxes[i] for i in order]
     if k == 1:
-        i = _helly_scan(boxes, order)[0]
-        return None if i is None else ends[i]
-    adj = _adjacency([boxes[i] for i in order])
+        i = _helly_scan(boxes)[0]
+        return None if i is None else ends[order[i]]
+    adj = _adjacency(boxes)
 
     def packs(p: int) -> bool:  # do the first p boxes in end order pack k+1?
         return _max_disjoint(adj, (1 << p) - 1, k + 1).bit_count() > k
@@ -266,7 +267,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
             continue
         c, dim = len(cuts), f.dim - len(cuts)
         if lines is not None or bound <= 1:
-            i, corner = _helly_scan(boxes, range(len(boxes)))
+            i, corner = _helly_scan(boxes)
             if i is None:
                 tracer.add(parent, dim, op="common-point", bound=bound, sizes=(len(boxes),))
                 coords.append(cuts + tuple(corner[c:]))
@@ -280,7 +281,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
                 n_minus -= 1
             plus = [box for box in boxes[n_minus:] if box.sides[ax].lo > t]
             if n_minus:
-                coords.append(cuts + tuple(_helly_scan(boxes, range(n_minus))[1][c:]))
+                coords.append(cuts + tuple(_helly_scan(boxes[:n_minus])[1][c:]))
             coords += [cuts + ((t, y) if ax == c else (y, t))
                        for y in sorted({lines.c1, lines.c2})]
             node = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax - c, lo=t,

@@ -3,7 +3,10 @@
 These deliberately avoid the library's search code: packing numbers come
 from full subset enumeration, piercing numbers from exhaustive grid
 subset enumeration, and intersection from candidate-corner containment,
-so they can referee the production implementations.
+so they can referee the production implementations. `reference_tau` is
+the one exception: it repeats the exact piercing search step for step,
+over a grid of points and pairwise tests, so that its witness can be
+compared with the library's, point by point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from boxpierce import Box, BoxFamily, Point, candidate_grid, intersects
+from boxpierce import Box, BoxFamily, Point, TauResult, candidate_grid, intersects
 
 
 def family(bounds_list, lines=None, dim=None) -> BoxFamily:
@@ -23,12 +26,17 @@ def family_1d(pairs, lines=None) -> BoxFamily:
     return family([(p,) for p in pairs], lines=lines, dim=1)
 
 
-def families(max_size: int):
-    """Families of up to `max_size` boxes in 1-3 dimensions, dense enough that most intersect."""
+def families(max_size: int, starts: tuple[int, int] = (-8, 8), width: int = 6):
+    """Families of up to `max_size` boxes in 1-3 dimensions, dense enough that most intersect.
+
+    Each side starts in the range `starts` and is at most `width` long;
+    narrow starts make boxes share coordinates, and width 0 makes boxes
+    degenerate.
+    """
     return st.integers(1, 3).flatmap(
         lambda d: st.lists(
             st.tuples(*[
-                st.tuples(st.integers(-8, 8), st.integers(0, 6)) for _ in range(d)
+                st.tuples(st.integers(*starts), st.integers(0, width)) for _ in range(d)
             ]).map(lambda sides: Box.from_bounds([(lo, lo + w) for lo, w in sides])),
             max_size=max_size,
         ).map(lambda bs: BoxFamily.of(bs, dim=d))
@@ -76,6 +84,48 @@ def brute_force_tau(f: BoxFamily, limit: int | None = None) -> int | None:
             if all(any(b.contains(p) for p in subset) for b in boxes):
                 return t
     return None
+
+
+def reference_tau(f: BoxFamily) -> TauResult:
+    """`tau_exact`'s search over a grid of `Point`s: the same tau and the same witness.
+
+    Iterative deepening from nu; at depth limit t, branch on the grid
+    points inside the lowest-index uncovered box, in grid order, and
+    prune when a greedy disjoint set (in index order) of the uncovered
+    boxes is larger than the depth left. Covers come from
+    `Box.contains`, the adjacency from pairwise `intersects`, and nu
+    from `brute_force_nu`.
+    """
+    boxes = f.boxes
+    n = len(boxes)
+    if not n:
+        return TauResult(0, ())
+    grid = [Point(c) for c in itertools.product(
+        *(sorted({b.sides[ax].lo for b in boxes}) for ax in range(f.dim)))]
+    covers = [sum(1 << i for i, b in enumerate(boxes) if b.contains(p)) for p in grid]
+    inside = [[g for g, mask in enumerate(covers) if mask >> i & 1] for i in range(n)]
+    adj = [sum(1 << j for j in range(n) if j != i and intersects(boxes[i], boxes[j]))
+           for i in range(n)]
+
+    def greedy_count(avail: int) -> int:
+        taken = blocked = 0
+        for i in range(n):
+            if avail >> i & 1 and not blocked >> i & 1:
+                taken += 1
+                blocked |= adj[i]
+        return taken
+
+    for t in range(brute_force_nu(f), n + 1):
+        stack = [((1 << n) - 1, t, ())]
+        while stack:
+            uncovered, depth_left, chosen = stack.pop()
+            if not uncovered:
+                return TauResult(t, tuple(grid[g] for g in chosen))
+            if depth_left and greedy_count(uncovered) <= depth_left:
+                i = (uncovered & -uncovered).bit_length() - 1
+                stack.extend((uncovered & ~covers[g], depth_left - 1, chosen + (g,))
+                             for g in reversed(inside[i]))
+    raise AssertionError("unreachable: piercing with one point per box must exist")
 
 
 def corner_candidate_intersects(p: Box, q: Box) -> bool:

@@ -24,7 +24,8 @@ from boxpierce import (
     nu_exact,
     tau_exact,
 )
-from boxpierce.oracles import _adjacency, _max_disjoint
+from boxpierce import geometry, oracles
+from boxpierce.oracles import _adjacency, _helly_scan, _max_disjoint
 
 from _helpers import (
     brute_force_nu,
@@ -33,6 +34,7 @@ from _helpers import (
     families,
     family,
     family_1d,
+    reference_tau,
     small_families,
 )
 
@@ -245,6 +247,51 @@ def test_tau_witnesses_are_pinned():
     assert digest.hexdigest() == _TAU_SWEEP_SHA256
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(families(9), families(9, starts=(0, 4), width=3)))
+def test_tau_result_matches_the_point_grid_search(fam):
+    # the same search over a grid of Points: equal tau and the same witness, point by point
+    assert tau_exact(fam, cap=len(fam)) == reference_tau(fam)
+
+
+def sparse_family(n: int, rng: random.Random) -> BoxFamily:
+    """Boxes of side 10 in [0, 10^6]^2: pairwise disjoint, with distinct coordinates."""
+    boxes = []
+    for _ in range(n):
+        x, y = rng.randrange(10**6), rng.randrange(10**6)
+        boxes.append(Box.from_bounds(((x, x + 10), (y, y + 10))))
+    return BoxFamily.of(boxes, dim=2)
+
+
+def test_tau_builds_one_adjacency_and_a_point_per_witness_point(monkeypatch):
+    calls = {"adjacency": 0, "point": 0}
+    adjacency, point_init = oracles._adjacency, geometry.Point.__init__
+
+    def counted_adjacency(boxes):
+        calls["adjacency"] += 1
+        return adjacency(boxes)
+
+    def counted_point_init(self, coords):
+        calls["point"] += 1
+        point_init(self, coords)
+
+    sparse = sparse_family(120, random.Random(120))
+    # 120 distinct left endpoints per axis: a grid of 14,400 points
+    assert all(len({b.sides[ax].lo for b in sparse.boxes}) == 120 for ax in range(2))
+    fams = [gen_gadget(), gen_extremal_two_line(7), dense_family(12, random.Random(3)),
+            gen_random(RandomSpec(n_boxes=9, dim=3, coord_range=(0, 6), seed=4)), sparse]
+    monkeypatch.setattr(oracles, "_adjacency", counted_adjacency)
+    monkeypatch.setattr(geometry.Point, "__init__", counted_point_init)
+    for fam in fams:
+        calls.update(adjacency=0, point=0)
+        res = tau_exact(fam, cap=len(fam))
+        assert calls == {"adjacency": 1, "point": res.tau}
+    witness = repr([p.coords for p in res.witness]).encode()
+    assert res.tau == 120
+    assert hashlib.sha256(witness).hexdigest() == (
+        "c9766e712ae599fa35b62fbdf34f47e4260a815929a9ca2fc20771e5d20b857f")
+
+
 # --- common_point ------------------------------------------------------------
 
 def test_common_point_two_boxes():
@@ -280,6 +327,14 @@ def test_common_point_lies_in_every_box():
         fam = family(boxes)
         p = common_point(fam)
         assert all(b.contains(p) for b in fam.boxes)
+
+
+def test_helly_scan_takes_the_boxes_in_the_order_given():
+    boxes = family_1d([(0, 5), (3, 4), (6, 7), (0, 1)]).boxes
+    assert _helly_scan(boxes) == (2, [6])
+    # positions are in the list scanned: reversed, [6, 7] is second and misses [0, 1]
+    assert _helly_scan(boxes[::-1]) == (1, [6])
+    assert _helly_scan(boxes[:2]) == (None, [3])
 
 
 @settings(max_examples=200, deadline=None)

@@ -57,18 +57,16 @@ def log_base_cbrt9(x: float) -> float:
     return 3.0 * math.log(x) / _LN9
 
 
+def _check(name: str, value, least: int) -> None:
+    """Refuse a `value` that is not an int (a bool is not) of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def h(n: int) -> float:
     """The planar closed-form bound n * log_{9^(1/3)}(n) + n."""
-    if n < 1:
-        raise ValueError(f"h(n) needs n >= 1, got {n}")
+    _check("n", n, 1)
     return n * log_base_cbrt9(n) + n
-
-
-def _check_n(n: int, d: int = 1) -> None:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
 # Lazily extended DP tables. Each cell is (value, split): the exact int
@@ -106,7 +104,7 @@ def _pairwise_cell(tables: dict, d: int, n: int, bottom, bottom_d: int) -> tuple
 
 def bound_prop3(n: int) -> int:
     """Planar three-way-split DP value at n (exact integer)."""
-    _check_n(n)
+    _check("n", n, 0)
     while len(_prop3) <= n:
         m = len(_prop3)
         s = m - 2
@@ -124,9 +122,8 @@ def bound_prop3(n: int) -> int:
 
 def split_prop3(n: int) -> tuple[int, int, int]:
     """Sizes (k, l, m), k+l+m = n-2, attaining bound_prop3(n); smallest (k, l) on ties."""
+    _check("n", n, 2)
     bound_prop3(n)
-    if n < 2:
-        raise ValueError(f"split_prop3 needs n >= 2, got {n}")
     return _prop3[n][1]
 
 
@@ -139,7 +136,8 @@ def bound_prop1(n: int, d: int) -> int:
     which achieves bound_prop3 there. Its guarantee still holds because
     bound_prop3(n) <= bound_prop1(n, 2).
     """
-    _check_n(n, d)
+    _check("n", n, 0)
+    _check("d", d, 1)
     if d == 1:
         return n
     return _pairwise_cell(_prop1, d, n, int, 1)[0]
@@ -147,9 +145,9 @@ def bound_prop1(n: int, d: int) -> int:
 
 def split_prop1(n: int, d: int) -> int:
     """Smallest k attaining bound_prop1(n, d): the left part gets bound k, the right n-k-1."""
+    _check("n", n, 2)
+    _check("d", d, 2)
     bound_prop1(n, d)
-    if n < 2 or d < 2:
-        raise ValueError(f"split_prop1 needs n >= 2 and d >= 2, got n={n}, d={d}")
     return _prop1[d][n][1]
 
 
@@ -159,10 +157,8 @@ def bound_lemma1(n: int, d: int) -> float:
     base(n, 1) = n, base(n, 2) = bound_prop3(n), and deeper bases extend
     the kept column of n, one rule step each. Past a double: ValueError.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"bound_lemma1 needs n >= 1, got {n!r}")
-    if type(d) is not int or d < 2:
-        raise ValueError(f"bound_lemma1 needs d >= 2, got {d!r}")
+    _check("n", n, 1)
+    _check("d", d, 2)
     column = _lemma1.setdefault(n, [n])  # base(n, e) at index e - 1
     while d > 2 and len(column) < d and column[-1] != math.inf:
         column.append(bound_prop3(n) if len(column) == 1 else n + math.log2(n) * column[-1])
@@ -179,8 +175,7 @@ def bound_hadwiger2(n: int) -> int:
     formula yields 1, below the exact value F(2,2)=3; the rule is
     reported verbatim anyway and is meaningful only from n >= 4.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"bound_hadwiger2 needs n >= 1, got {n!r}")
+    _check("n", n, 1)
     if n == 1:
         return 1
     return n * (n - 1) // 2
@@ -194,7 +189,8 @@ def bound_best_known(n: int, d: int) -> int:
     monotone). Higher dimensions run the pairwise-split recurrence over
     this combined column.
     """
-    _check_n(n, d)
+    _check("n", n, 0)
+    _check("d", d, 1)
     if d == 1:
         return n
     return _best_planar(n) if d == 2 else _pairwise_cell(_best, d, n, _best_planar, 2)[0]
@@ -228,11 +224,9 @@ _RULES: dict[BoundRule, tuple[Callable[[int, int], int | float], int, int, bool]
 def build_table(rule: BoundRule, max_n: int, max_d: int = 2) -> BoundTable:
     """Evaluate one rule over its cells up to (max_n, max_d)."""
     rule = BoundRule(rule)
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _check("max_n", max_n, 1)
     evaluate, n_lo, d_lo, planar_only = _RULES[rule]
-    if max_d < d_lo:
-        raise ValueError(f"rule {rule.value} needs max_d >= {d_lo}, got max_d={max_d}")
+    _check(f"rule {rule.value}'s max_d", max_d, d_lo)
     dims = (2,) if planar_only else range(d_lo, max_d + 1)
     values = {(n, d): evaluate(n, d) for d in dims for n in range(n_lo, max_n + 1)}
     return BoundTable(rule, max_n, max_d, values)

@@ -73,13 +73,15 @@ class RandomSpec(_Value):
     With two_line=True (planar only), each box's interval on axis 1 is
     clamped to contain one of the two lines, chosen uniformly, so the
     two-line condition holds by construction. `lines` (c1, c2, in either
-    order) places those lines; it is refused without two_line.
+    order) places those lines; it is refused without two_line. Both
+    pairs are stored as tuples, whatever sequence the caller passed.
     """
 
     __slots__ = ("n_boxes", "dim", "coord_range", "seed", "two_line", "lines")
 
     def __init__(self, n_boxes: int, dim: int = 2, coord_range: tuple[int, int] = (0, 20),
                  seed: int = 0, two_line: bool = False, lines: tuple[int, int] | None = None):
+        coord_range, lines = tuple(coord_range), None if lines is None else tuple(lines)
         for name, value in zip(self._fields, (n_boxes, dim, coord_range, seed, two_line, lines)):
             _set(self, name, value)
         if type(self.n_boxes) is not int or self.n_boxes < 0:
@@ -88,7 +90,7 @@ class RandomSpec(_Value):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if type(self.seed) is not int:  # None would seed from the clock, unrepeatably
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        lo, hi = self.coord_range
+        lo, hi = self.coord_range if len(self.coord_range) == 2 else (None, None)
         if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
             raise ValueError(f"coordinate range needs 64-bit ints lo <= hi, got {self.coord_range}")
         if self.two_line:

@@ -214,7 +214,7 @@ class BoxFamily(_Value):
         if dim is None:
             if not boxes:
                 raise ValueError("cannot infer dimension of an empty family; pass dim=")
-            dim = boxes[0].dim
+            dim = boxes[0].dim if isinstance(boxes[0], Box) else 1  # a non-box is then refused
         return cls(dim, boxes, lines)
 
     def __len__(self) -> int:

@@ -31,8 +31,9 @@ endpoint at which the prefix first packs k+1 pairwise-disjoint boxes,
 which keeps every inequality exact; the right one is the same search
 over the reflected left endpoints ~lo. "Packs 1" means "non-empty",
 and "packs 2" means "not pairwise intersecting", one Helly scan in end
-order (`oracles._helly_scan`); for larger k a bisection over prefix
-lengths asks the branch and bound behind `nu_exact` only "packs k+1?".
+order (`oracles._helly_scan`). For larger k each probe asks the branch
+and bound behind `nu_exact` only "packs k+1?", and the next probe ends
+just before the last of the k+1 disjoint boxes a yes hands back.
 A sweep step is sorted when pushed; each round is one step and one
 Helly scan. Split sizes under the DP-optimal policy come from the
 tables that certify the guarantee (`split_prop3`, `split_prop1`). All
@@ -46,7 +47,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
-from .geometry import BoxFamily, Point, TwoLines, _partition
+from .geometry import BoxFamily, Point, _partition
 from .oracles import DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, check_cap_value, nu_exact
 # Uncalled here; bound only because perfbench/tracing.py wraps these names in this module.
 from .geometry import lift_points, project_onto_hyperplane, split_four, split_three  # noqa: F401
@@ -133,11 +134,13 @@ def _threshold(boxes, ends, k: int) -> int | None:
     first end at which a prefix packs 2 (k == 1).
 
     For k >= 2 the adjacency is built once, over the boxes in end order,
-    so every prefix is a low-bit mask. The packing number of the first p
-    boxes is nondecreasing in p, so a binary search over p from k+1 to n
-    finds the shortest prefix that packs k+1, and a is the end of its
-    last box. Each probe "packs k+1?" is `_max_disjoint` with `enough`:
-    its greedy seed mostly answers yes, and its search the rest.
+    so every prefix is a low-bit mask. Each probe "packs k+1?" is
+    `_max_disjoint` with `enough`, whose yes is a disjoint witness. The
+    first probe is the whole family; after a yes, the prefix ending at
+    box p, the (k+1)-th lowest of the witness, packs k+1, and the next
+    probe is the first p boxes. So the first p+1 boxes always pack k+1,
+    and as packing grows with the prefix, at the first no p+1 is the
+    shortest such prefix and a is the end of box p.
     """
     if not boxes:
         return None
@@ -148,21 +151,13 @@ def _threshold(boxes, ends, k: int) -> int | None:
     if k == 1:
         i = _helly_scan(boxes)[0]
         return None if i is None else ends[order[i]]
-    adj = _adjacency(boxes)
-
-    def packs(p: int) -> bool:  # do the first p boxes in end order pack k+1?
-        return _max_disjoint(adj, (1 << p) - 1, k + 1).bit_count() > k
-
-    lo, hi = k + 1, len(boxes)
-    if not packs(hi):  # the full family: nu <= k
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if packs(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ends[order[lo - 1]]
+    adj, p, a = _adjacency(boxes), len(boxes), None
+    while (w := _max_disjoint(adj, (1 << p) - 1, k + 1)).bit_count() > k:
+        for _ in range(k):  # drop the k lowest boxes of the witness
+            w &= w - 1
+        p = (w & -w).bit_length() - 1  # its (k+1)-th lowest box: the first p+1 pack k+1
+        a = ends[order[p]]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +221,10 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     Its root boxes all contain cuts[j] on axis j, the cuts of the
     hyperplanes above it, outermost first; so it works on the axes from
     c = len(cuts) on and splits on axis c. An empty step needs no point.
-    A sweep step (`lines` set) has two axes left, every box meeting a
-    line, and its boxes are sorted by right end across the lines (ties
-    in input order) when it is pushed. It, and a step with bound <= 1,
+    A sweep step (`lines` set: its sweep axis, absolute, and its sorted
+    line coordinates) has two axes left, every box meeting a line, and
+    its boxes are sorted by right end on the sweep axis (ties in input
+    order) when it is pushed. It, and a step with bound <= 1,
     runs one Helly scan: with no disjoint pair, their common point
     pierces the step; a bound <= 1 step with one has bound < nu and
     raises. Else a sweep round cuts at t, the right end of the scan's
@@ -248,9 +244,9 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     root_nu = nu_exact(f, cap).nu
     balanced = policy is SplitPolicy.BALANCED
     boxes, lines = f.boxes, None
-    if policy is None:  # the root is one sweep step
-        lines = f.lines
-        boxes = sorted(boxes, key=lambda box: box.sides[1 - lines.axis].hi)
+    if policy is None:  # the root is one sweep step, across the lines of `f.lines`
+        lines = (1 - f.lines.axis, sorted({f.lines.c1, f.lines.c2}))
+        boxes = sorted(boxes, key=lambda box: box.sides[lines[0]].hi)
         guarantee = (3 * root_nu) // 2
     elif root_nu == 0:
         guarantee = 0.0
@@ -274,7 +270,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
                 continue
             if bound <= 1:  # no single point pierces this part
                 raise ValueError(f"bound {bound} < nu: box {i} of the part misses an earlier box")
-            ax = c + 1 - lines.axis  # the sweep axis, across the lines
+            ax, ys = lines
             t = boxes[i].sides[ax].hi
             n_minus = i  # boxes before i end at or before t; step back over those at t
             while n_minus and boxes[n_minus - 1].sides[ax].hi == t:
@@ -282,8 +278,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
             plus = [box for box in boxes[n_minus:] if box.sides[ax].lo > t]
             if n_minus:
                 coords.append(cuts + tuple(_helly_scan(boxes[:n_minus])[1][c:]))
-            coords += [cuts + ((t, y) if ax == c else (y, t))
-                       for y in sorted({lines.c1, lines.c2})]
+            coords += [cuts + ((t, y) if ax == c else (y, t)) for y in ys]
             node = tracer.add(parent, 2, op="two-line-step", bound=bound, axis=ax - c, lo=t,
                               sizes=(n_minus, len(boxes) - n_minus - len(plus), len(plus)))
             stack.append((plus, bound - 2, node, cuts, lines))
@@ -316,9 +311,10 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
         minus, plusminus, plus, zero = _partition(boxes, c, a, b)
         node = tracer.add(parent, 2, op="split-four", bound=bound, axis=0, lo=a, hi=b,
                           sizes=(len(minus), len(plusminus), len(plus), len(zero)))
-        zero.sort(key=lambda box: box.sides[c + 1].hi)  # a sweep step across lines on axis 0
-        stack += [(zero, bound, node, cuts, TwoLines(0, a, b)), (plus, m, node, cuts, None),
-                  (plusminus, l, node, cuts, None), (minus, k, node, cuts, None)]
+        zero.sort(key=lambda box: box.sides[c + 1].hi)  # a sweep step across the lines at a, b
+        stack += [(zero, bound, node, cuts, (c + 1, sorted({a, b}))),
+                  (plus, m, node, cuts, None), (plusminus, l, node, cuts, None),
+                  (minus, k, node, cuts, None)]
     return _report(coords, guarantee, root_nu, tracer)
 
 

@@ -117,6 +117,16 @@ def test_hadwiger_values():
 
 # --- h and the constant ------------------------------------------------------
 
+def test_rules_and_tables_refuse_bools_and_floats():
+    for value in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            h(value)
+        with pytest.raises(ValueError, match="max_n"):
+            build_table(BoundRule.PROP1, value, 2)
+        with pytest.raises(ValueError, match="max_d"):
+            build_table(BoundRule.PROP1, 3, value)
+
+
 def test_h_2():
     assert h(2) == pytest.approx(3.892789, abs=1e-5)
 

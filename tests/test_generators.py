@@ -189,12 +189,25 @@ def test_two_line_draws_match_randint(coord_range):
     (True, 5), (0, False),  # bools are not coordinates
     (0.5, 3.0), (0, 3.0),  # nor are floats
     (5, 1),  # empty
+    (0, 5, 9),  # not a pair
 ])
 def test_random_spec_refuses_ranges_outside_the_contract(coord_range):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no DeprecationWarning from inside `random`
         with pytest.raises(ValueError, match="coordinate range"):
             RandomSpec(n_boxes=3, coord_range=coord_range)
+
+
+def test_random_spec_stores_its_pairs_as_tuples():
+    # a spec built from lists hashes, equals the tuple form, and keeps no caller's list
+    coord_range, lines = [0, 30], [20, 5]
+    spec = RandomSpec(n_boxes=6, coord_range=coord_range, two_line=True, lines=lines, seed=4)
+    same = RandomSpec(n_boxes=6, coord_range=(0, 30), two_line=True, lines=(20, 5), seed=4)
+    assert spec == same and hash(spec) == hash(same)
+    assert (spec.coord_range, spec.lines) == ((0, 30), (20, 5))
+    coord_range.append(9)
+    lines[0] = 99
+    assert gen_random(spec) == gen_random(same)
 
 
 @pytest.mark.parametrize("seed", [None, True, 1.5, "3"])

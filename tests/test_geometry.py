@@ -1,5 +1,7 @@
 """Geometry primitives: intersection, containment, splits, projection."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,9 @@ def test_family_rejects_members_that_are_not_boxes():
         BoxFamily(2, [1, 2])
     with pytest.raises(ValueError, match="box 1"):
         BoxFamily(1, [Box.from_bounds(((0, 1),)), Interval(0, 1)])
+    for member in (1, Interval(0, 1)):  # `of` infers no dimension from a non-box
+        with pytest.raises(ValueError, match=re.escape(f"box 0 must be a Box, got {member!r}")):
+            BoxFamily.of([member])
 
 
 def test_family_two_line_invariant_names_offender():

@@ -112,8 +112,8 @@ def test_threshold_hi_mirror():
 
 
 def test_threshold_error_when_packing_too_small():
-    fam = family_1d([(0, 5), (1, 6)])
-    assert threshold_low(fam, 0, 1) is None
+    for pairs in ([(0, 5), (1, 6)], [(0, 9), (1, 8)]):  # overlapping, nested
+        assert threshold_low(family_1d(pairs), 0, 1) is None
 
 
 def test_threshold_postcondition_on_random_families():
@@ -201,6 +201,32 @@ def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
 def test_threshold_probes_match_nu_search_up_to_k4(fam, axis, k):
     axis %= fam.dim
     assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
+    assert threshold_hi(fam, axis, k) == reference_threshold_hi(fam, axis, k)
+
+
+def test_threshold_descent_on_intervals_takes_two_probes(monkeypatch):
+    # in end order the greedy seed of every prefix of intervals is maximum, so the
+    # first probe's k+1 lowest boxes end the shortest packing prefix: one more
+    # probe, just before the last of them, says no
+    real, calls = piercing._max_disjoint, []
+
+    def counted(adj, avail, enough=None):
+        calls.append(avail)
+        return real(adj, avail, enough)
+
+    monkeypatch.setattr(piercing, "_max_disjoint", counted)
+    seen = set()
+    for seed in range(40):
+        fam = gen_random(RandomSpec(n_boxes=20, dim=1, coord_range=(0, 60), seed=1700 + seed))
+        nu = nu_exact(fam).nu
+        for k in range(2, 6):
+            for search, reference in ((threshold_low, reference_threshold),
+                                      (threshold_hi, reference_threshold_hi)):
+                calls.clear()
+                assert search(fam, 0, k) == reference(fam, 0, k)
+                assert len(calls) == (2 if nu > k else 1)
+                seen.add(nu > k)
+    assert seen == {True, False}
 
 
 @settings(max_examples=200, deadline=None)
@@ -710,9 +736,3 @@ def test_pierce_cap_refusal():
     fam = gen_random(RandomSpec(n_boxes=12, coord_range=(0, 30), seed=3))
     with pytest.raises(CapExceeded):
         pierce_planar(fam, cap=11)
-
-
-def test_internal_threshold_helper_matches_public():
-    fam = family_1d([(0, 1), (2, 3), (4, 5)])
-    assert threshold_low(fam, 0, 1) == 3
-    assert threshold_low(family_1d([(0, 9), (1, 8)]), 0, 1) is None

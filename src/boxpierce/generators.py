@@ -67,6 +67,19 @@ def gen_extremal_two_line(n: int) -> BoxFamily:
     return BoxFamily(2, tuple(boxes), _GADGET_LINES)
 
 
+def _tuple(value):
+    """`value` as a tuple if it is iterable, else as given, for the checks to refuse by name."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return value
+
+
+def _pair(value) -> tuple:
+    """The two items of a tuple of two, else (None, None), which every check refuses."""
+    return value if type(value) is tuple and len(value) == 2 else (None, None)
+
+
 class RandomSpec(_Value):
     """Deterministic random-family parameters.
 
@@ -81,7 +94,7 @@ class RandomSpec(_Value):
 
     def __init__(self, n_boxes: int, dim: int = 2, coord_range: tuple[int, int] = (0, 20),
                  seed: int = 0, two_line: bool = False, lines: tuple[int, int] | None = None):
-        coord_range, lines = tuple(coord_range), None if lines is None else tuple(lines)
+        coord_range, lines = _tuple(coord_range), None if lines is None else _tuple(lines)
         for name, value in zip(self._fields, (n_boxes, dim, coord_range, seed, two_line, lines)):
             _set(self, name, value)
         if type(self.n_boxes) is not int or self.n_boxes < 0:
@@ -90,15 +103,16 @@ class RandomSpec(_Value):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if type(self.seed) is not int:  # None would seed from the clock, unrepeatably
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        lo, hi = self.coord_range if len(self.coord_range) == 2 else (None, None)
+        lo, hi = _pair(self.coord_range)
         if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
             raise ValueError(f"coordinate range needs 64-bit ints lo <= hi, got {self.coord_range}")
         if self.two_line:
             if self.dim != 2:
                 raise ValueError("two-line instances are planar; need dim=2")
-            c1, c2 = self.effective_lines()
-            if not (type(c1) is int and type(c2) is int and lo <= c1 <= c2 <= hi):
-                raise ValueError(f"lines {c1!r}, {c2!r} are not ints inside {self.coord_range}")
+            c1, c2 = self.effective_lines() if self.lines is None else _pair(self.lines)
+            if not (type(c1) is int and type(c2) is int
+                    and lo <= min(c1, c2) and max(c1, c2) <= hi):
+                raise ValueError(f"lines {self.lines!r} are not two ints inside {self.coord_range}")
         elif self.lines is not None:
             raise ValueError("lines are only used by two-line instances; need two_line=True")
 

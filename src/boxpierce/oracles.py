@@ -9,6 +9,10 @@ identical inputs yield identical witnesses. The nu witness is the
 lexicographically greatest maximum disjoint subfamily (at the first
 index where two candidates differ, the one containing that index
 wins), which on a disjoint union is the union of each component's.
+The piercing algorithms' planar and d-dim roots need only the number
+nu: `_packing_size` counts it in right-end order under a greedy
+clique-cover bound (Tomita and Seki's colouring bound, on bitsets as in
+San Segundo et al.), with no witness.
 
 Exactness is what the constructive piercing algorithms lean on for
 their certified guarantees, so families larger than the configured cap
@@ -163,6 +167,61 @@ def _max_disjoint(adj: list[int], avail: int, enough: int | None = None) -> int:
                 return chosen
             best, best_size = chosen, size
     return best
+
+
+def _cliques(adj: list[int], avail: int) -> int:
+    """Parts of a greedy cover of `avail` by pairwise-intersecting boxes: an upper bound on its nu.
+
+    Each part starts at the lowest box left and grows by the lowest box
+    meeting every member so far. A disjoint subfamily takes at most one
+    box per part; this is the colouring bound of max-clique search, on
+    the complement graph.
+    """
+    parts = 0
+    while avail:
+        parts += 1
+        meets = avail
+        while meets:
+            bit = meets & -meets
+            avail ^= bit
+            meets &= adj[bit.bit_length() - 1]
+    return parts
+
+
+def _packing_size(boxes) -> int:
+    """The packing number of `boxes`, without a witness.
+
+    The boxes are sorted by right end on axis 0, so each component's
+    include-first search reaches the end-order greedy set (maximum on
+    intervals) at its first leaf. The loop is `_max_disjoint`'s with no
+    chosen set, and at each pop it also prunes on `_cliques`. Both tests
+    prune only what cannot strictly beat the incumbent.
+    """
+    adj = _adjacency(sorted(boxes, key=lambda box: box.sides[0].hi))
+    nu = 0
+    for comp in _components(adj):
+        best = _greedy_disjoint(adj, comp).bit_count()
+        stack = [(comp, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            avail, size = pop()
+            count = avail.bit_count()
+            if size + count <= best or size + _cliques(adj, avail) <= best:
+                continue
+            while avail:  # follow include branches, leaving each exclude branch on the stack
+                bit = avail & -avail
+                avail ^= bit
+                if size + count - 1 > best:
+                    push((avail, size))
+                avail &= ~adj[bit.bit_length() - 1]
+                size += 1
+                count = avail.bit_count()
+                if size + count <= best:
+                    break
+            else:
+                best = size
+        nu += best
+    return nu
 
 
 def _packing(adj: list[int]) -> int:

@@ -19,9 +19,12 @@ every input box and whose size never exceeds the reported guarantee:
                        (balanced) or bound_prop1(nu, d) (DP-optimal).
 
 The exact packing number is computed once, at the root; deeper steps
-receive the upper bounds the split inequalities guarantee. The sweep
-and both recursions run as one loop over an explicit stack in
-`_pierce`, so no depth or dimension meets Python's recursion limit.
+receive the upper bounds the split inequalities guarantee. The planar
+and d-dim roots only count it (`oracles._packing_size`: right-end
+order, clique-cover bound, no witness); the two-line root still calls
+`nu_exact`. The sweep and both recursions run as one loop over an
+explicit stack in `_pierce`, so no depth or dimension meets Python's
+recursion limit.
 The paper projects the boxes crossing a cut hyperplane one dimension
 down and lifts the points back; each such box contains the cut, so a
 step keeps the root's own boxes and moves on to the next axis instead,
@@ -48,7 +51,8 @@ from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
 from .geometry import BoxFamily, Point, _partition
-from .oracles import DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, check_cap_value, nu_exact
+from .oracles import (DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, _packing_size, check_cap,
+                      check_cap_value, nu_exact)
 # Uncalled here; bound only because perfbench/tracing.py wraps these names in this module.
 from .geometry import lift_points, project_onto_hyperplane, split_four, split_three  # noqa: F401
 from .oracles import common_point  # noqa: F401
@@ -239,9 +243,14 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     lines; with more, in three, the zero part appending its cut to
     `cuts`. Children are pushed in reverse, so points and trace nodes
     come out depth first. A step's points are `cuts` followed by its own
-    coordinates.
+    coordinates. The root's nu is `nu_exact`'s for the sweep and
+    `_packing_size`'s count, under the same cap, for the recursions.
     """
-    root_nu = nu_exact(f, cap).nu
+    if policy is None:
+        root_nu = nu_exact(f, cap).nu
+    else:
+        check_cap(f, cap)
+        root_nu = _packing_size(f.boxes)
     balanced = policy is SplitPolicy.BALANCED
     boxes, lines = f.boxes, None
     if policy is None:  # the root is one sweep step, across the lines of `f.lines`

@@ -26,14 +26,15 @@ def family_1d(pairs, lines=None) -> BoxFamily:
     return family([(p,) for p in pairs], lines=lines, dim=1)
 
 
-def families(max_size: int, starts: tuple[int, int] = (-8, 8), width: int = 6):
-    """Families of up to `max_size` boxes in 1-3 dimensions, dense enough that most intersect.
+def families(max_size: int, starts: tuple[int, int] = (-8, 8), width: int = 6,
+             dims: tuple[int, int] = (1, 3)):
+    """Families of up to `max_size` boxes in `dims` dimensions, dense enough that most intersect.
 
     Each side starts in the range `starts` and is at most `width` long;
     narrow starts make boxes share coordinates, and width 0 makes boxes
     degenerate.
     """
-    return st.integers(1, 3).flatmap(
+    return st.integers(*dims).flatmap(
         lambda d: st.lists(
             st.tuples(*[
                 st.tuples(st.integers(*starts), st.integers(0, width)) for _ in range(d)

@@ -190,6 +190,7 @@ def test_two_line_draws_match_randint(coord_range):
     (0.5, 3.0), (0, 3.0),  # nor are floats
     (5, 1),  # empty
     (0, 5, 9),  # not a pair
+    5, None,  # nor a sequence
 ])
 def test_random_spec_refuses_ranges_outside_the_contract(coord_range):
     with warnings.catch_warnings():
@@ -217,7 +218,7 @@ def test_random_spec_refuses_a_seed_that_is_not_an_integer(seed):
         RandomSpec(n_boxes=3, seed=seed)
 
 
-@pytest.mark.parametrize("lines", [(0.5, 3), (2, True), (-1, 5), (3, 21)])
+@pytest.mark.parametrize("lines", [(0.5, 3), (2, True), (-1, 5), (3, 21), (1, 2, 3), (4,), 5])
 def test_random_spec_refuses_lines_outside_the_contract(lines):
     with pytest.raises(ValueError, match="lines"):
         RandomSpec(n_boxes=3, coord_range=(0, 20), two_line=True, lines=lines)

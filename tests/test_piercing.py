@@ -258,16 +258,20 @@ def test_max_disjoint_decision_is_exact_in_any_order(fam, data):
 
 
 def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
-    real = piercing.nu_exact
+    real = piercing._packing_size
     allowed = [0]
 
-    def root_only(f, cap):
+    def root_only(boxes):
         if not allowed[0]:
-            raise AssertionError("nu_exact called past the root")
+            raise AssertionError("nu counted past the root")
         allowed[0] -= 1
-        return real(f, cap)
+        return real(boxes)
 
-    monkeypatch.setattr(piercing, "nu_exact", root_only)
+    def no_oracle(f, cap):
+        raise AssertionError("nu_exact called")
+
+    monkeypatch.setattr(piercing, "_packing_size", root_only)
+    monkeypatch.setattr(piercing, "nu_exact", no_oracle)
     for seed in range(30):
         fam = gen_random(RandomSpec(n_boxes=8 + seed % 13, dim=2 + seed % 2,
                                     coord_range=(0, 60), seed=1300 + seed))
@@ -417,10 +421,11 @@ def test_ddim_builds_no_family_or_box_and_one_point_per_emitted_point(monkeypatc
 @pytest.mark.parametrize("dim", [2, 3])
 def test_a_part_whose_bound_is_below_nu_raises_instead_of_missing_a_box(monkeypatch, dim):
     disjoint = family([[(0, 1)] * dim, [(5, 6)] * dim])
-    monkeypatch.setattr(piercing, "nu_exact", lambda f, cap: type("R", (), {"nu": 1}))
+    monkeypatch.setattr(piercing, "_packing_size", lambda boxes: 1)
     with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses an earlier box"):
         pierce_ddim(disjoint)
     if dim == 2:  # a sweep step checks the same: each box meets one of the lines y = 0, y = 5
+        monkeypatch.setattr(piercing, "nu_exact", lambda f, cap: type("R", (), {"nu": 1}))
         with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses"):
             pierce_two_lines(disjoint.replace_boxes(disjoint.boxes, TwoLines(1, 0, 5)))
 

@@ -10,9 +10,11 @@ lexicographically greatest maximum disjoint subfamily (at the first
 index where two candidates differ, the one containing that index
 wins), which on a disjoint union is the union of each component's.
 The piercing algorithms' planar and d-dim roots need only the number
-nu: `_packing_size` counts it in right-end order under a greedy
-clique-cover bound (Tomita and Seki's colouring bound, on bitsets as in
-San Segundo et al.), with no witness.
+nu: `_packing_size` counts it, with no witness, on the adjacency of the
+root's boxes in right-end order, under a greedy clique-cover bound
+(Tomita and Seki's colouring bound, on bitsets as in San Segundo et
+al.). That one adjacency also serves every threshold probe of the
+piercing (`_max_disjoint` on a prefix mask).
 
 Exactness is what the constructive piercing algorithms lean on for
 their certified guarantees, so families larger than the configured cap
@@ -124,7 +126,8 @@ def _components(adj: list[int]):
         yield comp
 
 
-def _max_disjoint(adj: list[int], avail: int, enough: int | None = None) -> int:
+def _max_disjoint(adj: list[int], avail: int, enough: int | None = None,
+                  seed: int | None = None) -> int:
     """Lexicographically greatest maximum disjoint subset of `avail`, as a mask.
 
     Branch and bound on the lowest-index available box, include-branch
@@ -137,8 +140,11 @@ def _max_disjoint(adj: list[int], avail: int, enough: int | None = None) -> int:
     With `enough`, it decides "does `avail` pack `enough`?": it returns
     the seed if that has `enough` boxes, else the first leaf that beats
     an incumbent of size `enough - 1`, else the (smaller) seed.
+
+    `seed`, a disjoint subset of `avail`, replaces the greedy one: a
+    threshold probe passes the greedy set taken in its own end order.
     """
-    best = _greedy_disjoint(adj, avail)
+    best = _greedy_disjoint(adj, avail) if seed is None else seed
     best_size = best.bit_count()
     if enough is not None:
         if best_size >= enough:
@@ -188,16 +194,16 @@ def _cliques(adj: list[int], avail: int) -> int:
     return parts
 
 
-def _packing_size(boxes) -> int:
-    """The packing number of `boxes`, without a witness.
+def _packing_size(adj: list[int]) -> int:
+    """The packing number of the boxes behind `adj`, without a witness.
 
-    The boxes are sorted by right end on axis 0, so each component's
+    `adj` is over the boxes sorted by right end on axis 0 (the one
+    adjacency of a piercing, `piercing._searched`), so each component's
     include-first search reaches the end-order greedy set (maximum on
     intervals) at its first leaf. The loop is `_max_disjoint`'s with no
     chosen set, and at each pop it also prunes on `_cliques`. Both tests
     prune only what cannot strictly beat the incumbent.
     """
-    adj = _adjacency(sorted(boxes, key=lambda box: box.sides[0].hi))
     nu = 0
     for comp in _components(adj):
         best = _greedy_disjoint(adj, comp).bit_count()

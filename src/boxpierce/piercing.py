@@ -20,11 +20,12 @@ every input box and whose size never exceeds the reported guarantee:
 
 The exact packing number is computed once, at the root; deeper steps
 receive the upper bounds the split inequalities guarantee. The planar
-and d-dim roots only count it (`oracles._packing_size`: right-end
-order, clique-cover bound, no witness); the two-line root still calls
-`nu_exact`. The sweep and both recursions run as one loop over an
-explicit stack in `_pierce`, so no depth or dimension meets Python's
-recursion limit.
+and d-dim roots only count it (`oracles._packing_size`: clique-cover
+bound, no witness) on one adjacency over the root's boxes in right-end
+order on axis 0 (`_searched`), which every threshold probe of the
+piercing reuses; the two-line root still calls `nu_exact`. The sweep
+and both recursions run as one loop over an explicit stack in
+`_pierce`, so no depth or dimension meets Python's recursion limit.
 The paper projects the boxes crossing a cut hyperplane one dimension
 down and lifts the points back; each such box contains the cut, so a
 step keeps the root's own boxes and moves on to the next axis instead,
@@ -35,8 +36,9 @@ which keeps every inequality exact; the right one is the same search
 over the reflected left endpoints ~lo. "Packs 1" means "non-empty",
 and "packs 2" means "not pairwise intersecting", one Helly scan in end
 order (`oracles._helly_scan`). For larger k each probe asks the branch
-and bound behind `nu_exact` only "packs k+1?", and the next probe ends
-just before the last of the k+1 disjoint boxes a yes hands back.
+and bound behind `nu_exact` only "packs k+1?" of a prefix, a mask of
+the root's adjacency, and the next probe ends just before the last of
+the k+1 disjoint boxes a yes hands back.
 A sweep step is sorted when pushed; each round is one step and one
 Helly scan. Split sizes under the DP-optimal policy come from the
 tables that certify the guarantee (`split_prop3`, `split_prop1`). All
@@ -46,7 +48,10 @@ index), so runs are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
+from itertools import accumulate
+from operator import or_
 from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
@@ -121,7 +126,19 @@ def _report(coords, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 # thresholds
 
 
-def _threshold(boxes, ends, k: int) -> int | None:
+def _searched(boxes) -> tuple[list[int], dict[int, int]]:
+    """The one adjacency of a piercing, and each box's bit in it, keyed by `id(box)`.
+
+    It is over `boxes` in right-end order on axis 0, the order
+    `_packing_size` counts in. A `Box` object listed twice keeps one bit:
+    both copies always fall in the same parts and prefixes, and dropping
+    a copy changes no packing number.
+    """
+    boxes = sorted(boxes, key=lambda box: box.sides[0].hi)
+    return _adjacency(boxes), {id(box): 1 << j for j, box in enumerate(boxes)}
+
+
+def _threshold(boxes, ends, k: int, adj: list[int], bit: dict[int, int]) -> int | None:
     """Smallest end value a with nu({end <= a}) >= k+1, or None.
 
     `ends` holds one value per box: its right endpoint on the cut axis
@@ -137,29 +154,37 @@ def _threshold(boxes, ends, k: int) -> int | None:
     (k == 0: the smallest end), and `_helly_scan` in end order finds the
     first end at which a prefix packs 2 (k == 1).
 
-    For k >= 2 the adjacency is built once, over the boxes in end order,
-    so every prefix is a low-bit mask. Each probe "packs k+1?" is
-    `_max_disjoint` with `enough`, whose yes is a disjoint witness. The
-    first probe is the whole family; after a yes, the prefix ending at
-    box p, the (k+1)-th lowest of the witness, packs k+1, and the next
-    probe is the first p boxes. So the first p+1 boxes always pack k+1,
-    and as packing grows with the prefix, at the first no p+1 is the
-    shortest such prefix and a is the end of box p.
+    For k >= 2 no adjacency is built: the adjacency is the root's, `adj`
+    from `_searched`, and `bit` maps each box to its bit there. The
+    prefix of the first p boxes in end order is the OR of their bits.
+    Each probe "packs k+1?" is `_max_disjoint` with `enough`, whose yes
+    is a disjoint witness, seeded with the greedy set taken in end order
+    (its part in a prefix is that prefix's greedy set, maximum on
+    intervals). The first probe is the whole family; after a yes, the
+    prefix ending at box p, the (k+1)-th of the witness in end order,
+    packs k+1, and the next probe is the first p boxes. So the first
+    p+1 boxes always pack k+1, and as packing grows with the prefix, at
+    the first no p+1 is the shortest such prefix and a is the end of
+    box p.
     """
     if not boxes:
         return None
     if k == 0:
         return min(ends)
     order = sorted(range(len(boxes)), key=ends.__getitem__)
-    boxes = [boxes[i] for i in order]
     if k == 1:
-        i = _helly_scan(boxes)[0]
+        i = _helly_scan([boxes[i] for i in order])[0]
         return None if i is None else ends[order[i]]
-    adj, p, a = _adjacency(boxes), len(boxes), None
-    while (w := _max_disjoint(adj, (1 << p) - 1, k + 1)).bit_count() > k:
-        for _ in range(k):  # drop the k lowest boxes of the witness
-            w &= w - 1
-        p = (w & -w).bit_length() - 1  # its (k+1)-th lowest box: the first p+1 pack k+1
+    bits = [bit[id(boxes[i])] for i in order]
+    prefix = list(accumulate(bits, or_, initial=0))
+    greedy = blocked = 0
+    for b in bits:
+        if not b & blocked:
+            greedy |= b
+            blocked |= adj[b.bit_length() - 1]
+    p, a = len(bits), None
+    while (w := _max_disjoint(adj, prefix[p], k + 1, greedy & prefix[p])).bit_count() > k:
+        p = bisect_left(prefix, k + 1, 0, p, key=lambda m: (m & w).bit_count()) - 1
         a = ends[order[p]]
     return a
 
@@ -244,13 +269,16 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     `cuts`. Children are pushed in reverse, so points and trace nodes
     come out depth first. A step's points are `cuts` followed by its own
     coordinates. The root's nu is `nu_exact`'s for the sweep and
-    `_packing_size`'s count, under the same cap, for the recursions.
+    `_packing_size`'s count, under the same cap, for the recursions, on
+    the adjacency `_searched` builds once, which every threshold search
+    of the loop shares.
     """
     if policy is None:
         root_nu = nu_exact(f, cap).nu
     else:
         check_cap(f, cap)
-        root_nu = _packing_size(f.boxes)
+        adj, bit = _searched(f.boxes)
+        root_nu = _packing_size(adj)
     balanced = policy is SplitPolicy.BALANCED
     boxes, lines = f.boxes, None
     if policy is None:  # the root is one sweep step, across the lines of `f.lines`
@@ -296,7 +324,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
             k, l, m = ((bound - j) // 3 for j in range(3)) if balanced else split_prop3(bound)
         else:
             k = (bound - 1) // 2 if balanced else split_prop1(bound, dim)
-        a = _threshold(boxes, [box.sides[c].hi for box in boxes], k)
+        a = _threshold(boxes, [box.sides[c].hi for box in boxes], k, adj, bit)
         if a is None:  # nu(boxes) <= k: re-enter with the tight bound
             stack.append((boxes, k, parent, cuts, None))
             continue
@@ -308,7 +336,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
                       (zero, bound, node, (*cuts, a), None),
                       (minus, k, node, cuts, None)]
             continue
-        b = _threshold(boxes, [~box.sides[c].lo for box in boxes], m)
+        b = _threshold(boxes, [~box.sides[c].lo for box in boxes], m, adj, bit)
         if b is None:
             stack.append((boxes, m, parent, cuts, None))
             continue

@@ -24,7 +24,7 @@ from boxpierce import (
     nu_exact,
     tau_exact,
 )
-from boxpierce import geometry, oracles
+from boxpierce import geometry, oracles, piercing
 from boxpierce.oracles import _adjacency, _helly_scan, _max_disjoint, _packing_size
 
 from _helpers import (
@@ -126,7 +126,7 @@ def test_max_disjoint_is_exact_on_any_mask(fam, data):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(families(12, dims=(1, 4)), families(12, starts=(0, 5), width=2, dims=(1, 4))))
 def test_packing_size_counts_nu(fam):
-    assert _packing_size(fam.boxes) == nu_exact(fam).nu
+    assert _packing_size(piercing._searched(fam.boxes)[0]) == nu_exact(fam).nu
 
 
 def test_packing_size_agrees_with_nu_exact_on_large_planar_families(monkeypatch):
@@ -143,7 +143,7 @@ def test_packing_size_agrees_with_nu_exact_on_large_planar_families(monkeypatch)
             for n, seed in ((96, 1), (96, 2), (104, 3), (112, 1))]
     nus = [nu_exact(fam, cap=len(fam)).nu for fam in fams]
     monkeypatch.setattr(oracles, "_cliques", counting_cliques)
-    assert [_packing_size(fam.boxes) for fam in fams] == nus
+    assert [_packing_size(piercing._searched(fam.boxes)[0]) for fam in fams] == nus
     # a pop is cut when the cover cannot strictly beat the incumbent: letting
     # ties through costs about 15,000 covers here
     assert covers[0] <= 2000

@@ -87,12 +87,14 @@ def test_1d_stabs_ignore_the_order_of_ties_in_hi(pairs):
 
 def threshold_low(f, axis, k):
     """The left-threshold search over right endpoints, None where none exists."""
-    return piercing._threshold(f.boxes, [b.sides[axis].hi for b in f.boxes], k)
+    return piercing._threshold(f.boxes, [b.sides[axis].hi for b in f.boxes], k,
+                               *piercing._searched(f.boxes))
 
 
 def threshold_hi(f, axis, m):
     """The right-threshold search over reflected left endpoints, None where none exists."""
-    t = piercing._threshold(f.boxes, [~b.sides[axis].lo for b in f.boxes], m)
+    t = piercing._threshold(f.boxes, [~b.sides[axis].lo for b in f.boxes], m,
+                            *piercing._searched(f.boxes))
     return None if t is None else ~t
 
 
@@ -210,9 +212,9 @@ def test_threshold_descent_on_intervals_takes_two_probes(monkeypatch):
     # probe, just before the last of them, says no
     real, calls = piercing._max_disjoint, []
 
-    def counted(adj, avail, enough=None):
+    def counted(adj, avail, enough=None, seed=None):
         calls.append(avail)
-        return real(adj, avail, enough)
+        return real(adj, avail, enough, seed)
 
     monkeypatch.setattr(piercing, "_max_disjoint", counted)
     seen = set()
@@ -232,8 +234,8 @@ def test_threshold_descent_on_intervals_takes_two_probes(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(families(14), st.integers(0, 2), st.integers(0, 13))
 def test_max_disjoint_decides_prefix_packing(fam, axis, cut):
-    # the prefix {r <= x} at the cut-th smallest right endpoint, as a probe sees it:
-    # the adjacency is over the boxes in end order, so the prefix is a low-bit mask
+    # the prefix {r <= x} at the cut-th smallest right endpoint, with the adjacency
+    # over the boxes in end order on the probed axis, so the prefix is a low-bit mask
     axis %= fam.dim
     boxes = sorted(fam.boxes, key=lambda b: b.sides[axis].hi)
     x = boxes[cut % len(boxes)].sides[axis].hi if boxes else 0
@@ -261,11 +263,11 @@ def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
     real = piercing._packing_size
     allowed = [0]
 
-    def root_only(boxes):
+    def root_only(adj):
         if not allowed[0]:
             raise AssertionError("nu counted past the root")
         allowed[0] -= 1
-        return real(boxes)
+        return real(adj)
 
     def no_oracle(f, cap):
         raise AssertionError("nu_exact called")
@@ -285,6 +287,51 @@ def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
                 rep = pierce(fam, policy)
                 assert allowed[0] == 0 and is_sound(fam, rep.points)
                 assert rep.size <= rep.guarantee
+
+
+def test_a_piercing_builds_one_adjacency_for_its_root_and_every_probe(monkeypatch):
+    built, ks = [0], set()
+    adjacency, threshold = piercing._adjacency, piercing._threshold
+
+    def counted_adjacency(boxes):
+        built[0] += 1
+        return adjacency(boxes)
+
+    def seen_threshold(boxes, ends, k, adj, bit):
+        ks.add(k)
+        return threshold(boxes, ends, k, adj, bit)
+
+    monkeypatch.setattr(piercing, "_adjacency", counted_adjacency)
+    monkeypatch.setattr(piercing, "_threshold", seen_threshold)
+    fams = [gen_random(RandomSpec(n_boxes=n, dim=dim, coord_range=(0, 1000), seed=5))
+            for dim, n in ((2, 48), (2, 96), (3, 40), (3, 64))]
+    for fam in fams:
+        for policy in SplitPolicy:
+            for pierce in (pierce_planar, pierce_ddim) if fam.dim == 2 else (pierce_ddim,):
+                built[0] = 0
+                ks.clear()
+                rep = pierce(fam, policy, cap=len(fam))
+                assert built[0] == 1 and max(ks) >= 2
+                assert is_sound(fam, rep.points)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_box_object_listed_twice_pierces_as_equal_distinct_boxes(dim):
+    # one Box object keeps one bit of the adjacency, equal copies one bit each
+    for seed in range(8):
+        fam = gen_random(RandomSpec(n_boxes=24 + 4 * seed, dim=dim, coord_range=(0, 60),
+                                    seed=1900 + seed))
+        times = [1 + (i % 3 == seed % 3) + (i % 7 == 0) for i in range(len(fam))]
+        shared = fam.replace_boxes(b for b, t in zip(fam.boxes, times) for _ in range(t))
+        copies = fam.replace_boxes(b if j == 0 else Box.from_bounds(b.bounds())
+                                   for b, t in zip(fam.boxes, times) for j in range(t))
+        assert len({id(b) for b in shared.boxes}) == len(fam) < len(shared)
+        assert len({id(b) for b in copies.boxes}) == len(copies) == len(shared)
+        for policy in SplitPolicy:
+            for pierce in (pierce_planar, pierce_ddim) if dim == 2 else (pierce_ddim,):
+                rep = pierce(shared, policy, cap=len(shared))
+                assert rep == pierce(copies, policy, cap=len(copies))
+                assert rep.nu_used == nu_exact(fam, cap=len(fam)).nu and is_sound(fam, rep.points)
 
 
 def test_ddim_checks_cap_value_in_one_dimension():
@@ -421,7 +468,7 @@ def test_ddim_builds_no_family_or_box_and_one_point_per_emitted_point(monkeypatc
 @pytest.mark.parametrize("dim", [2, 3])
 def test_a_part_whose_bound_is_below_nu_raises_instead_of_missing_a_box(monkeypatch, dim):
     disjoint = family([[(0, 1)] * dim, [(5, 6)] * dim])
-    monkeypatch.setattr(piercing, "_packing_size", lambda boxes: 1)
+    monkeypatch.setattr(piercing, "_packing_size", lambda adj: 1)
     with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses an earlier box"):
         pierce_ddim(disjoint)
     if dim == 2:  # a sweep step checks the same: each box meets one of the lines y = 0, y = 5

@@ -197,6 +197,8 @@ class BoxFamily(_Value):
                                  if isinstance(b, Box) else f"box {i} must be a Box, got {b!r}")
         if self.lines is not None:
             ln = self.lines
+            if not isinstance(ln, TwoLines):
+                raise ValueError(f"lines must be a TwoLines, got {ln!r}")
             if ln.axis >= self.dim:
                 raise ValueError(f"line axis {ln.axis} out of range for dimension {self.dim}")
             for i, b in enumerate(self.boxes):

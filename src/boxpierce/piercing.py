@@ -33,12 +33,10 @@ and no split builds a family, a box or a point. Thresholds realize the
 continuous cuts discretely: the left threshold is the smallest right
 endpoint at which the prefix first packs k+1 pairwise-disjoint boxes,
 which keeps every inequality exact; the right one is the same search
-over the reflected left endpoints ~lo. "Packs 1" means "non-empty",
-and "packs 2" means "not pairwise intersecting", one Helly scan in end
-order (`oracles._helly_scan`). For larger k each probe asks the branch
-and bound behind `nu_exact` only "packs k+1?" of a prefix, a mask of
-the root's adjacency, and the next probe ends just before the last of
-the k+1 disjoint boxes a yes hands back.
+over the reflected left endpoints ~lo. For every k, 0 and 1 included,
+each probe asks the branch and bound behind `nu_exact` only "packs
+k+1?" of a prefix, a mask of the root's adjacency, and the next probe
+ends just before the last of the k+1 disjoint boxes a yes hands back.
 A sweep step is sorted when pushed; each round is one step and one
 Helly scan. Split sizes under the DP-optimal policy come from the
 tables that certify the guarantee (`split_prop3`, `split_prop1`). All
@@ -150,31 +148,20 @@ def _threshold(boxes, ends, k: int, adj: list[int], bit: dict[int, int]) -> int 
     With a the answer, {end < a} packs at most k disjoint boxes while
     {end <= a} packs k+1.
 
-    For k <= 1 no search is needed: a prefix packs 1 iff it is non-empty
-    (k == 0: the smallest end), and `_helly_scan` in end order finds the
-    first end at which a prefix packs 2 (k == 1).
-
-    For k >= 2 no adjacency is built: the adjacency is the root's, `adj`
-    from `_searched`, and `bit` maps each box to its bit there. The
-    prefix of the first p boxes in end order is the OR of their bits.
-    Each probe "packs k+1?" is `_max_disjoint` with `enough`, whose yes
-    is a disjoint witness, seeded with the greedy set taken in end order
-    (its part in a prefix is that prefix's greedy set, maximum on
-    intervals). The first probe is the whole family; after a yes, the
-    prefix ending at box p, the (k+1)-th of the witness in end order,
-    packs k+1, and the next probe is the first p boxes. So the first
-    p+1 boxes always pack k+1, and as packing grows with the prefix, at
-    the first no p+1 is the shortest such prefix and a is the end of
-    box p.
+    No adjacency is built: the adjacency is the root's, `adj` from
+    `_searched`, and `bit` maps each box to its bit there. The prefix of
+    the first p boxes in end order is the OR of their bits. Each probe
+    "packs k+1?" is `_max_disjoint` with `enough`, whose yes is a
+    disjoint witness, seeded with the greedy set taken in end order (its
+    part in a prefix is that prefix's greedy set, maximum on intervals).
+    The first probe is the whole family; after a yes, the prefix ending
+    at box p, the (k+1)-th of the witness in end order, packs k+1, and
+    the next probe is the first p boxes. So the first p+1 boxes always
+    pack k+1, and as packing grows with the prefix, at the first no p+1
+    is the shortest such prefix and a is the end of box p. With no boxes
+    the first probe, the empty prefix, says no.
     """
-    if not boxes:
-        return None
-    if k == 0:
-        return min(ends)
     order = sorted(range(len(boxes)), key=ends.__getitem__)
-    if k == 1:
-        i = _helly_scan([boxes[i] for i in order])[0]
-        return None if i is None else ends[order[i]]
     bits = [bit[id(boxes[i])] for i in order]
     prefix = list(accumulate(bits, or_, initial=0))
     greedy = blocked = 0
@@ -273,24 +260,22 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     the adjacency `_searched` builds once, which every threshold search
     of the loop shares.
     """
-    if policy is None:
+    balanced = policy is SplitPolicy.BALANCED
+    if policy is None:  # the root is one sweep step, across the lines of `f.lines`
         root_nu = nu_exact(f, cap).nu
+        lines = (1 - f.lines.axis, sorted({f.lines.c1, f.lines.c2}))
+        boxes = sorted(f.boxes, key=lambda box: box.sides[lines[0]].hi)
+        guarantee = (3 * root_nu) // 2
     else:
         check_cap(f, cap)
         adj, bit = _searched(f.boxes)
-        root_nu = _packing_size(adj)
-    balanced = policy is SplitPolicy.BALANCED
-    boxes, lines = f.boxes, None
-    if policy is None:  # the root is one sweep step, across the lines of `f.lines`
-        lines = (1 - f.lines.axis, sorted({f.lines.c1, f.lines.c2}))
-        boxes = sorted(boxes, key=lambda box: box.sides[lines[0]].hi)
-        guarantee = (3 * root_nu) // 2
-    elif root_nu == 0:
-        guarantee = 0.0
-    elif f.dim == 2:
-        guarantee = h(root_nu) if balanced else bound_prop3(root_nu)
-    else:
-        guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
+        boxes, lines, root_nu = f.boxes, None, _packing_size(adj)
+        if root_nu == 0:
+            guarantee = 0.0
+        elif f.dim == 2:
+            guarantee = h(root_nu) if balanced else bound_prop3(root_nu)
+        else:
+            guarantee = bound_lemma1(root_nu, f.dim) if balanced else bound_prop1(root_nu, f.dim)
     tracer = _Tracer()
     coords: list[tuple[int, ...]] = []
     stack = [(boxes, root_nu, None, (), lines)]

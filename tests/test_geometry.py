@@ -73,6 +73,15 @@ def test_family_two_line_invariant_names_offender():
         BoxFamily(2, boxes, TwoLines(axis=1, c1=0, c2=2))
 
 
+def test_family_refuses_lines_that_are_not_two_lines():
+    for lines in ((1, 0, 2), "x", 5):
+        message = re.escape(f"lines must be a TwoLines, got {lines!r}")
+        with pytest.raises(ValueError, match=message):
+            BoxFamily.of([box2(0, 1, 0, 1)], lines=lines)
+        with pytest.raises(ValueError, match=message):
+            BoxFamily(2, (box2(0, 1, 0, 1),), lines)
+
+
 # --- intersects / contains ---------------------------------------------------
 
 def test_intersects_shared_closed_edge():

@@ -172,7 +172,7 @@ def reference_threshold_hi(f, axis, m):
 @settings(max_examples=200, deadline=None)
 @given(small_families, st.integers(0, 2), st.integers(0, 2))
 def test_threshold_k1_helly_matches_nu_search(fam, axis, k):
-    # k <= 1 take the no-search shortcuts, k == 2 the binary search
+    # every k, 0 and 1 included, is one descent of "packs k+1?" probes
     axis %= fam.dim
     assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
 
@@ -221,7 +221,7 @@ def test_threshold_descent_on_intervals_takes_two_probes(monkeypatch):
     for seed in range(40):
         fam = gen_random(RandomSpec(n_boxes=20, dim=1, coord_range=(0, 60), seed=1700 + seed))
         nu = nu_exact(fam).nu
-        for k in range(2, 6):
+        for k in range(0, 6):
             for search, reference in ((threshold_low, reference_threshold),
                                       (threshold_hi, reference_threshold_hi)):
                 calls.clear()

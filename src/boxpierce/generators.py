@@ -83,11 +83,12 @@ def _pair(value) -> tuple:
 class RandomSpec(_Value):
     """Deterministic random-family parameters.
 
-    With two_line=True (planar only), each box's interval on axis 1 is
-    clamped to contain one of the two lines, chosen uniformly, so the
-    two-line condition holds by construction. `lines` (c1, c2, in either
-    order) places those lines; it is refused without two_line. Both
-    pairs are stored as tuples, whatever sequence the caller passed.
+    `two_line` is a bool. With True (planar only), each box's interval
+    on axis 1 is clamped to contain one of the two lines, chosen
+    uniformly, so the two-line condition holds by construction. `lines`
+    (c1, c2, in either order) places those lines; it is refused without
+    two_line. Both pairs are stored as tuples, whatever sequence the
+    caller passed.
     """
 
     __slots__ = ("n_boxes", "dim", "coord_range", "seed", "two_line", "lines")
@@ -106,6 +107,8 @@ class RandomSpec(_Value):
         lo, hi = _pair(self.coord_range)
         if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
             raise ValueError(f"coordinate range needs 64-bit ints lo <= hi, got {self.coord_range}")
+        if type(self.two_line) is not bool:  # "no" is truthy, and would build a two-line family
+            raise ValueError(f"two_line must be a bool, got {self.two_line!r}")
         if self.two_line:
             if self.dim != 2:
                 raise ValueError("two-line instances are planar; need dim=2")

@@ -9,12 +9,12 @@ identical inputs yield identical witnesses. The nu witness is the
 lexicographically greatest maximum disjoint subfamily (at the first
 index where two candidates differ, the one containing that index
 wins), which on a disjoint union is the union of each component's.
-The piercing algorithms' planar and d-dim roots need only the number
-nu: `_packing_size` counts it, with no witness, on the adjacency of the
-root's boxes in right-end order, under a greedy clique-cover bound
-(Tomita and Seki's colouring bound, on bitsets as in San Segundo et
-al.). That one adjacency also serves every threshold probe of the
-piercing (`_max_disjoint` on a prefix mask).
+The piercing algorithms' planar and d-dim roots run the same search,
+`_packing` with `cover`, on the adjacency of the root's boxes in
+right-end order, and also prune on a greedy clique-cover bound (Tomita
+and Seki's colouring bound, on bitsets as in San Segundo et al.). That
+one adjacency also serves every threshold probe of the piercing
+(`_max_disjoint` on a prefix mask).
 
 Exactness is what the constructive piercing algorithms lean on for
 their certified guarantees, so families larger than the configured cap
@@ -127,7 +127,7 @@ def _components(adj: list[int]):
 
 
 def _max_disjoint(adj: list[int], avail: int, enough: int | None = None,
-                  seed: int | None = None) -> int:
+                  seed: int | None = None, cover: bool = False) -> int:
     """Lexicographically greatest maximum disjoint subset of `avail`, as a mask.
 
     Branch and bound on the lowest-index available box, include-branch
@@ -143,6 +143,10 @@ def _max_disjoint(adj: list[int], avail: int, enough: int | None = None,
 
     `seed`, a disjoint subset of `avail`, replaces the greedy one: a
     threshold probe passes the greedy set taken in its own end order.
+
+    With `cover`, each pop is also pruned on `_cliques`. Both tests
+    prune only what cannot strictly beat the incumbent, so the answer
+    is the same either way.
     """
     best = _greedy_disjoint(adj, avail) if seed is None else seed
     best_size = best.bit_count()
@@ -155,7 +159,7 @@ def _max_disjoint(adj: list[int], avail: int, enough: int | None = None,
     while stack:
         avail, chosen, size = pop()
         count = avail.bit_count()
-        if size + count <= best_size:
+        if size + count <= best_size or cover and size + _cliques(adj, avail) <= best_size:
             continue
         while avail:  # follow include branches, leaving each exclude branch on the stack
             bit = avail & -avail
@@ -194,47 +198,11 @@ def _cliques(adj: list[int], avail: int) -> int:
     return parts
 
 
-def _packing_size(adj: list[int]) -> int:
-    """The packing number of the boxes behind `adj`, without a witness.
-
-    `adj` is over the boxes sorted by right end on axis 0 (the one
-    adjacency of a piercing, `piercing._searched`), so each component's
-    include-first search reaches the end-order greedy set (maximum on
-    intervals) at its first leaf. The loop is `_max_disjoint`'s with no
-    chosen set, and at each pop it also prunes on `_cliques`. Both tests
-    prune only what cannot strictly beat the incumbent.
-    """
-    nu = 0
-    for comp in _components(adj):
-        best = _greedy_disjoint(adj, comp).bit_count()
-        stack = [(comp, 0)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            avail, size = pop()
-            count = avail.bit_count()
-            if size + count <= best or size + _cliques(adj, avail) <= best:
-                continue
-            while avail:  # follow include branches, leaving each exclude branch on the stack
-                bit = avail & -avail
-                avail ^= bit
-                if size + count - 1 > best:
-                    push((avail, size))
-                avail &= ~adj[bit.bit_length() - 1]
-                size += 1
-                count = avail.bit_count()
-                if size + count <= best:
-                    break
-            else:
-                best = size
-        nu += best
-    return nu
-
-
-def _packing(adj: list[int]) -> int:
+def _packing(adj: list[int], cover: bool = False) -> int:
     """The witness of `nu_exact` as a mask: each component's search, joined."""
     best = 0
     for comp in _components(adj):
-        best |= _max_disjoint(adj, comp)
+        best |= _max_disjoint(adj, comp, cover=cover)
     return best
 
 

@@ -20,10 +20,10 @@ every input box and whose size never exceeds the reported guarantee:
 
 The exact packing number is computed once, at the root; deeper steps
 receive the upper bounds the split inequalities guarantee. The planar
-and d-dim roots only count it (`oracles._packing_size`: clique-cover
-bound, no witness) on one adjacency over the root's boxes in right-end
-order on axis 0 (`_searched`), which every threshold probe of the
-piercing reuses; the two-line root still calls `nu_exact`. The sweep
+and d-dim roots search it (`oracles._packing`, with the clique-cover
+bound) on one adjacency over the root's boxes in right-end order on
+axis 0 (`_searched`), which every threshold probe of the piercing
+reuses; the two-line root still calls `nu_exact`. The sweep
 and both recursions run as one loop over an explicit stack in
 `_pierce`, so no depth or dimension meets Python's recursion limit.
 The paper projects the boxes crossing a cut hyperplane one dimension
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from .bounds import bound_lemma1, bound_prop1, bound_prop3, h, split_prop1, split_prop3
 from .geometry import BoxFamily, Point, _partition
-from .oracles import (DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, _packing_size, check_cap,
+from .oracles import (DEFAULT_CAP, _adjacency, _helly_scan, _max_disjoint, _packing, check_cap,
                       check_cap_value, nu_exact)
 # Uncalled here; bound only because perfbench/tracing.py wraps these names in this module.
 from .geometry import lift_points, project_onto_hyperplane, split_four, split_three  # noqa: F401
@@ -127,10 +127,11 @@ def _report(coords, guarantee, nu_used: int, tracer: _Tracer) -> PierceReport:
 def _searched(boxes) -> tuple[list[int], dict[int, int]]:
     """The one adjacency of a piercing, and each box's bit in it, keyed by `id(box)`.
 
-    It is over `boxes` in right-end order on axis 0, the order
-    `_packing_size` counts in. A `Box` object listed twice keeps one bit:
-    both copies always fall in the same parts and prefixes, and dropping
-    a copy changes no packing number.
+    It is over `boxes` in right-end order on axis 0, so the root's
+    include-first search for nu reaches the end-order greedy set
+    (maximum on intervals) at its first leaf. A `Box` object listed
+    twice keeps one bit: both copies always fall in the same parts and
+    prefixes, and dropping a copy changes no packing number.
     """
     boxes = sorted(boxes, key=lambda box: box.sides[0].hi)
     return _adjacency(boxes), {id(box): 1 << j for j, box in enumerate(boxes)}
@@ -255,10 +256,10 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     lines; with more, in three, the zero part appending its cut to
     `cuts`. Children are pushed in reverse, so points and trace nodes
     come out depth first. A step's points are `cuts` followed by its own
-    coordinates. The root's nu is `nu_exact`'s for the sweep and
-    `_packing_size`'s count, under the same cap, for the recursions, on
-    the adjacency `_searched` builds once, which every threshold search
-    of the loop shares.
+    coordinates. The root's nu is `nu_exact`'s for the sweep and, under
+    the same cap, `_packing`'s with the clique-cover bound for the
+    recursions, on the adjacency `_searched` builds once, which every
+    threshold search of the loop shares.
     """
     balanced = policy is SplitPolicy.BALANCED
     if policy is None:  # the root is one sweep step, across the lines of `f.lines`
@@ -269,7 +270,7 @@ def _pierce(f: BoxFamily, policy: SplitPolicy | None, cap: int) -> PierceReport:
     else:
         check_cap(f, cap)
         adj, bit = _searched(f.boxes)
-        boxes, lines, root_nu = f.boxes, None, _packing_size(adj)
+        boxes, lines, root_nu = f.boxes, None, _packing(adj, cover=True).bit_count()
         if root_nu == 0:
             guarantee = 0.0
         elif f.dim == 2:

@@ -218,6 +218,13 @@ def test_random_spec_refuses_a_seed_that_is_not_an_integer(seed):
         RandomSpec(n_boxes=3, seed=seed)
 
 
+@pytest.mark.parametrize("two_line", ["no", 1, 0, None, "", [False]])
+def test_random_spec_refuses_a_two_line_that_is_not_a_bool(two_line):
+    # "no" is truthy, so it would build a two-line family
+    with pytest.raises(ValueError, match="two_line"):
+        RandomSpec(n_boxes=5, two_line=two_line)
+
+
 @pytest.mark.parametrize("lines", [(0.5, 3), (2, True), (-1, 5), (3, 21), (1, 2, 3), (4,), 5])
 def test_random_spec_refuses_lines_outside_the_contract(lines):
     with pytest.raises(ValueError, match="lines"):

@@ -25,7 +25,7 @@ from boxpierce import (
     tau_exact,
 )
 from boxpierce import geometry, oracles, piercing
-from boxpierce.oracles import _adjacency, _helly_scan, _max_disjoint, _packing_size
+from boxpierce.oracles import _adjacency, _helly_scan, _max_disjoint, _packing
 
 from _helpers import (
     brute_force_nu,
@@ -115,7 +115,9 @@ def test_max_disjoint_is_exact_on_any_mask(fam, data):
         mask = (1 << data.draw(st.integers(0, len(boxes)), label="cut")) - 1
     else:
         mask = data.draw(st.integers(0, (1 << len(boxes)) - 1), label="mask")
-    best = _max_disjoint(_adjacency(boxes), mask)
+    adj = _adjacency(boxes)
+    best = _max_disjoint(adj, mask)
+    assert _max_disjoint(adj, mask, cover=True) == best  # the cover bound keeps the witness
     chosen = [i for i in range(len(boxes)) if best >> i & 1]
     assert best & ~mask == 0
     assert not any(intersects(boxes[i], boxes[j]) for i, j in itertools.combinations(chosen, 2))
@@ -126,12 +128,12 @@ def test_max_disjoint_is_exact_on_any_mask(fam, data):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(families(12, dims=(1, 4)), families(12, starts=(0, 5), width=2, dims=(1, 4))))
 def test_packing_size_counts_nu(fam):
-    assert _packing_size(piercing._searched(fam.boxes)[0]) == nu_exact(fam).nu
+    assert _packing(piercing._searched(fam.boxes)[0], cover=True).bit_count() == nu_exact(fam).nu
 
 
 def test_packing_size_agrees_with_nu_exact_on_large_planar_families(monkeypatch):
-    # the searches differ in order, bound and witness, so each checks the other;
-    # on these families nu_exact takes 0.1-0.4 s and _packing_size 111-429 covers
+    # the searches differ in order and bound, so each checks the other; on these
+    # families nu_exact takes 0.1-0.4 s and the root's search 111-429 covers
     covers = [0]
     cliques = oracles._cliques
 
@@ -143,7 +145,8 @@ def test_packing_size_agrees_with_nu_exact_on_large_planar_families(monkeypatch)
             for n, seed in ((96, 1), (96, 2), (104, 3), (112, 1))]
     nus = [nu_exact(fam, cap=len(fam)).nu for fam in fams]
     monkeypatch.setattr(oracles, "_cliques", counting_cliques)
-    assert [_packing_size(piercing._searched(fam.boxes)[0]) for fam in fams] == nus
+    assert [_packing(piercing._searched(fam.boxes)[0], cover=True).bit_count()
+            for fam in fams] == nus
     # a pop is cut when the cover cannot strictly beat the incumbent: letting
     # ties through costs about 15,000 covers here
     assert covers[0] <= 2000

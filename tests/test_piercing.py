@@ -184,16 +184,12 @@ def test_threshold_hi_mirror_matches_suffix_search(fam, axis, m):
     assert threshold_hi(fam, axis, m) == reference_threshold_hi(fam, axis, m)
 
 
-def test_threshold_probes_up_to_k1_need_no_oracle(monkeypatch):
-    def no_oracle(f, cap):
-        raise AssertionError("nu_exact called")
-
-    monkeypatch.setattr(piercing, "nu_exact", no_oracle)
+def test_thresholds_match_reference_on_seeded_1_to_3d_families():
     for seed in range(40):
         fam = gen_random(RandomSpec(n_boxes=1 + seed % 12, dim=1 + seed % 3,
                                     coord_range=(0, 15), seed=1100 + seed))
         for axis in range(fam.dim):
-            for k in (0, 1):
+            for k in range(0, 5):
                 assert threshold_low(fam, axis, k) == reference_threshold(fam, axis, k)
                 assert threshold_hi(fam, axis, k) == reference_threshold_hi(fam, axis, k)
 
@@ -257,22 +253,23 @@ def test_max_disjoint_decision_is_exact_in_any_order(fam, data):
     adj = _adjacency(boxes)
     for t in range(1, mask.bit_count() + 2):
         assert (_max_disjoint(adj, mask, t).bit_count() >= t) == (nu >= t)
+        assert _max_disjoint(adj, mask, t, cover=True) == _max_disjoint(adj, mask, t)
 
 
 def test_probes_at_any_k_need_no_oracle_past_the_root(monkeypatch):
-    real = piercing._packing_size
+    real = piercing._packing
     allowed = [0]
 
-    def root_only(adj):
+    def root_only(adj, cover=False):
         if not allowed[0]:
             raise AssertionError("nu counted past the root")
         allowed[0] -= 1
-        return real(adj)
+        return real(adj, cover)
 
     def no_oracle(f, cap):
         raise AssertionError("nu_exact called")
 
-    monkeypatch.setattr(piercing, "_packing_size", root_only)
+    monkeypatch.setattr(piercing, "_packing", root_only)
     monkeypatch.setattr(piercing, "nu_exact", no_oracle)
     for seed in range(30):
         fam = gen_random(RandomSpec(n_boxes=8 + seed % 13, dim=2 + seed % 2,
@@ -468,7 +465,7 @@ def test_ddim_builds_no_family_or_box_and_one_point_per_emitted_point(monkeypatc
 @pytest.mark.parametrize("dim", [2, 3])
 def test_a_part_whose_bound_is_below_nu_raises_instead_of_missing_a_box(monkeypatch, dim):
     disjoint = family([[(0, 1)] * dim, [(5, 6)] * dim])
-    monkeypatch.setattr(piercing, "_packing_size", lambda adj: 1)
+    monkeypatch.setattr(piercing, "_packing", lambda adj, cover=False: 1)
     with pytest.raises(ValueError, match="bound 1 < nu: box 1 of the part misses an earlier box"):
         pierce_ddim(disjoint)
     if dim == 2:  # a sweep step checks the same: each box meets one of the lines y = 0, y = 5

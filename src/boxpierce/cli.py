@@ -9,28 +9,35 @@ and may change between versions.
 
 Each handler imports the modules that only it uses, so a process loads
 just what its subcommand runs: `verify` never loads the generators, the
-bound tables or the piercing algorithms.
+oracles, the bound tables or the piercing algorithms, and `gen` loads
+neither the oracles nor the piercing algorithms. A command runs with the
+cyclic garbage collector off, since everything it builds is acyclic and
+freed by reference counting; `main` restores the collector's state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
+from .geometry import DEFAULT_CAP, CapExceeded
 from .instances import (
     Instance,
     InstanceFormatError,
+    _instance_obj,
+    _loads,
     _read_text,
+    _report_obj,
     _write_text,
     dumps_canonical,
     load_instance,
+    obj_to_instance,
     parse_points_document,
-    report_to_json,
     verify_piercing,
     verify_to_obj,
     write_instance,
 )
-from .oracles import DEFAULT_CAP, CapExceeded
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -156,7 +163,8 @@ def _cmd_tau(args) -> int:
 
 def _cmd_pierce(args) -> int:
     from .piercing import pierce_ddim, pierce_planar, pierce_two_lines
-    inst = load_instance(args.instance)
+    doc = _loads(_read_text(args.instance))
+    inst = obj_to_instance(doc)
     family = inst.family
     if args.algo == "twoline":
         report = pierce_two_lines(family, args.cap)
@@ -164,7 +172,9 @@ def _cmd_pierce(args) -> int:
         report = pierce_planar(family, args.policy, args.cap)
     else:
         report = pierce_ddim(family, args.policy, args.cap)
-    _write_text(args.out, report_to_json(report, args.algo, args.policy, inst))
+    # the report embeds the rows just checked: exact ints, so equal to what `instance_to_obj` builds
+    embedded = _instance_obj(inst, doc["boxes"])
+    _write_text(args.out, dumps_canonical(_report_obj(report, args.algo, args.policy, embedded)))
     return EXIT_OK
 
 
@@ -206,6 +216,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # a command builds tens of thousands of acyclic objects, which reference counting frees;
+    # the cyclic collector would only re-scan them
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _HANDLERS[args.command](args)
     except CapExceeded as exc:
@@ -217,6 +231,9 @@ def main(argv=None) -> int:
     except (PreconditionError, ValueError) as exc:
         print(f"boxpierce: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

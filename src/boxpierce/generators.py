@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 
-from .geometry import COORD_BOUND, Box, BoxFamily, Interval, TwoLines, _checked_box, _set, _Value
+from .geometry import (COORD_BOUND, Box, BoxFamily, Interval, TwoLines, _boxes_of_rows,
+                       _checked_family, _set, _Value)
 
 GADGET_TAG = "boxpierce.gadget/v1"
 EXTREMAL_TAG = "boxpierce.extremal/v1"
@@ -140,6 +141,23 @@ def _draws(rng: random.Random, lo: int, hi: int):
     return draw
 
 
+def _random_rows(spec: RandomSpec):
+    """Yield `gen_random`'s boxes one at a time, each as a list of [lo, hi] lists."""
+    rng = random.Random(spec.seed)
+    coord, coin = _draws(rng, *spec.coord_range), _draws(rng, 0, 1)
+    c1, c2 = spec.effective_lines() if spec.two_line else (0, 0)
+    for _ in range(spec.n_boxes):
+        row = []
+        for _ax in range(spec.dim):
+            u, v = coord(), coord()
+            row.append([u, v] if u <= v else [v, u])
+        if spec.two_line:
+            c = c2 if coin() else c1
+            u, v = row[1]
+            row[1] = [min(u, c), max(v, c)]
+        yield row
+
+
 def gen_random(spec: RandomSpec) -> BoxFamily:
     """Random family, byte-for-byte reproducible under a fixed spec.
 
@@ -153,24 +171,10 @@ def gen_random(spec: RandomSpec) -> BoxFamily:
     choosing c1. This is `Random.randint`'s rule on CPython 3.10-3.13, so
     a width of 1 still draws `getrandbits(1)`.
     """
-    rng = random.Random(spec.seed)
-    coord, coin = _draws(rng, *spec.coord_range), _draws(rng, 0, 1)
-    c1 = c2 = 0
-    if spec.two_line:
-        c1, c2 = spec.effective_lines()
-    boxes = []
-    for _ in range(spec.n_boxes):
-        bounds = []
-        for _ax in range(spec.dim):
-            u, v = coord(), coord()
-            bounds.append((u, v) if u <= v else (v, u))
-        if spec.two_line:
-            c = c2 if coin() else c1
-            u, v = bounds[1]
-            bounds[1] = (min(u, c), max(v, c))
-        boxes.append(_checked_box(bounds))  # in range by RandomSpec's checks
-    lines = TwoLines(axis=1, c1=c1, c2=c2) if spec.two_line else None
-    return BoxFamily(spec.dim, tuple(boxes), lines)
+    # every row is in range by RandomSpec's checks, so the family holds every row
+    boxes = tuple(_boxes_of_rows(_random_rows(spec), spec.dim))
+    lines = TwoLines(1, *spec.effective_lines()) if spec.two_line else None
+    return _checked_family(spec.dim, boxes, lines)
 
 
 def random_meta(spec: RandomSpec) -> dict:

@@ -15,6 +15,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 COORD_BOUND = 2**63
+# The exact oracles' default size cap. It and `CapExceeded` live here, below every module
+# that enforces or reports the cap, so the CLI names both without loading the oracles.
+DEFAULT_CAP = 32
 _set = object.__setattr__
 _new = object.__new__
 
@@ -25,6 +28,10 @@ def _check_coord(value, where: str) -> int:
     if not -COORD_BOUND <= value < COORD_BOUND:
         raise ValueError(f"{where}: coordinate {value} outside 64-bit range")
     return value
+
+
+class CapExceeded(RuntimeError):
+    """Family is larger than the exact-oracle cap."""
 
 
 class _Value:
@@ -132,18 +139,33 @@ class Box(_Value):
         return all(iv.contains(c) for iv, c in zip(self.sides, p.coords))
 
 
-def _checked_box(bounds) -> Box:
-    """The Box of one (lo, hi) pair per axis, built without re-checking: the caller has
-    checked that there is a pair and that each is two ints lo <= hi in the 64-bit range."""
-    sides = []
-    for lo, hi in bounds:
-        iv = _new(Interval)
-        _set(iv, "lo", lo)
-        _set(iv, "hi", hi)
-        sides.append(iv)
-    box = _new(Box)
-    _set(box, "sides", tuple(sides))
-    return box
+# slot setters, which build a checked value without `object.__setattr__`'s lookup by name
+_set_lo, _set_hi, _set_sides = Interval.lo.__set__, Interval.hi.__set__, Box.sides.__set__
+
+
+def _boxes_of_rows(rows, dim: int) -> list[Box]:
+    """The Boxes of `rows` in one pass, each row a list of `dim` [lo, hi] lists of 64-bit ints
+    lo <= hi. The list stops before the first row that is not one, for the caller to locate."""
+    new, set_lo, set_hi, set_sides = _new, _set_lo, _set_hi, _set_sides
+    boxes = []
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == dim):
+            break
+        sides = []
+        for pair in row:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                return boxes
+            lo, hi = pair
+            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
+                return boxes
+            iv = new(Interval)
+            set_lo(iv, lo)
+            set_hi(iv, hi)
+            sides.append(iv)
+        box = new(Box)
+        set_sides(box, tuple(sides))
+        boxes.append(box)
+    return boxes
 
 
 def intersects(p: Box, q: Box) -> bool:
@@ -227,6 +249,18 @@ class BoxFamily(_Value):
 
     def replace_boxes(self, boxes, lines: TwoLines | None = None) -> BoxFamily:
         return BoxFamily(self.dim, tuple(boxes), lines)
+
+
+def _checked_family(dim: int, boxes: tuple[Box, ...], lines: TwoLines | None) -> BoxFamily:
+    """The BoxFamily of `boxes`: the caller has checked that `dim` is a positive int and each
+    box a Box of `dim` sides, so only a two-line certificate sends them through the checks."""
+    if lines is not None:
+        return BoxFamily(dim, boxes, lines)
+    f = _new(BoxFamily)
+    _set(f, "dim", dim)
+    _set(f, "boxes", boxes)
+    _set(f, "lines", None)
+    return f
 
 
 class FourWaySplit(NamedTuple):

@@ -11,7 +11,8 @@ re-raised as `InstanceFormatError` naming the location (`boxes[i][ax]`,
 
 A pierce report document embeds the instance it was computed from,
 which lets `verify` consume a report from a pipe without a separate
-instance argument.
+instance argument. An error in the embedded instance names its
+location under `instance.` (`instance.boxes[0][0]`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, NoReturn
 
-from .geometry import COORD_BOUND, Box, BoxFamily, Interval, Point, TwoLines, _checked_box
+from .geometry import (Box, BoxFamily, Interval, Point, TwoLines, _boxes_of_rows,
+                       _checked_family)
 
 if TYPE_CHECKING:
     from .piercing import PierceReport
@@ -122,11 +124,13 @@ def _shape(compact: str) -> str:
 
 
 def instance_to_obj(inst: Instance) -> dict:
+    return _instance_obj(inst, [[[iv.lo, iv.hi] for iv in b.sides] for b in inst.family.boxes])
+
+
+def _instance_obj(inst: Instance, rows: list) -> dict:
+    """The canonical object of `inst`, whose `boxes` are `rows`: each box's [lo, hi] lists."""
     fam = inst.family
-    obj: dict[str, Any] = {
-        "dim": fam.dim,
-        "boxes": [[[iv.lo, iv.hi] for iv in b.sides] for b in fam.boxes],
-    }
+    obj: dict[str, Any] = {"dim": fam.dim, "boxes": rows}
     if fam.lines is not None:
         obj["lines"] = {"axis": fam.lines.axis, "c1": fam.lines.c1, "c2": fam.lines.c2}
     if inst.meta:
@@ -149,17 +153,9 @@ def obj_to_instance(obj: Any) -> Instance:
     raw_boxes = obj.get("boxes")
     if not isinstance(raw_boxes, list):
         raise InstanceFormatError("boxes: expected a list")
-    boxes = []
-    for i, raw in enumerate(raw_boxes):
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
-        for ax, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InstanceFormatError(f"boxes[{i}][{ax}]: expected an [lo, hi] pair")
-            lo, hi = pair
-            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
-                _build(Interval, pair, "boxes[{}][{}]", i, ax)  # raises Interval's own message
-        boxes.append(_checked_box(raw))
+    boxes = _boxes_of_rows(raw_boxes, dim)
+    if len(boxes) < len(raw_boxes):
+        _refuse_row(raw_boxes[len(boxes)], len(boxes), dim)
     lines = None
     if obj.get("lines") is not None:
         raw_lines = obj["lines"]
@@ -170,7 +166,18 @@ def obj_to_instance(obj: Any) -> Instance:
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InstanceFormatError("meta: expected an object")
-    return Instance(_build(BoxFamily, (dim, tuple(boxes), lines), "instance"), meta)
+    return Instance(_build(_checked_family, (dim, tuple(boxes), lines), "instance"), meta)
+
+
+def _refuse_row(raw: Any, i: int, dim: int) -> NoReturn:
+    """Raise the located error of `raw`, row `i` of `boxes`, which `_boxes_of_rows` refused."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
+    for ax, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InstanceFormatError(f"boxes[{i}][{ax}]: expected an [lo, hi] pair")
+        _build(Interval, pair, "boxes[{}][{}]", i, ax)  # raises Interval's own message
+    raise AssertionError(f"boxes[{i}] is a valid row")
 
 
 def instance_from_json(text: str) -> Instance:
@@ -219,6 +226,11 @@ def report_to_obj(report: PierceReport, algo: str, policy: str | None,
                   instance: Instance | BoxFamily) -> dict:
     if isinstance(instance, BoxFamily):
         instance = Instance(instance)
+    return _report_obj(report, algo, policy, instance_to_obj(instance))
+
+
+def _report_obj(report: PierceReport, algo: str, policy: str | None, instance_obj: dict) -> dict:
+    """The report object embedding `instance_obj`, the canonical object of its instance."""
     return {
         "algo": algo,
         "policy": policy,
@@ -227,7 +239,7 @@ def report_to_obj(report: PierceReport, algo: str, policy: str | None,
         "nu_used": report.nu_used,
         "points": [list(p.coords) for p in report.points],
         "trace": [t._asdict() for t in report.trace],
-        "instance": instance_to_obj(instance),
+        "instance": instance_obj,
     }
 
 
@@ -261,7 +273,10 @@ def parse_points_document(text: str, dim: int | None = None
         raise InstanceFormatError("expected an object with a 'points' field")
     instance = None
     if obj.get("instance") is not None:
-        instance = obj_to_instance(obj["instance"])
+        try:
+            instance = obj_to_instance(obj["instance"])
+        except InstanceFormatError as exc:  # name the document, apart from an --instance file
+            raise InstanceFormatError(f"instance.{exc}") from exc
     guarantee = obj.get("guarantee")
     if guarantee is not None:
         if type(guarantee) not in (int, float):  # bool is not a number here

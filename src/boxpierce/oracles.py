@@ -28,13 +28,7 @@ from bisect import bisect_left, bisect_right
 from operator import and_, or_
 from typing import NamedTuple
 
-from .geometry import BoxFamily, Point, intersects
-
-DEFAULT_CAP = 32
-
-
-class CapExceeded(RuntimeError):
-    """Family is larger than the exact-oracle cap."""
+from .geometry import DEFAULT_CAP, BoxFamily, CapExceeded, Point, intersects
 
 
 def check_cap_value(cap: int) -> None:

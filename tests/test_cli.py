@@ -233,6 +233,64 @@ def test_verify_with_instance_flag(tmp_path):
     assert res.returncode == 0
 
 
+def test_verify_names_the_report_as_the_home_of_a_bad_embedded_instance(tmp_path):
+    inst_path = tmp_path / "g.json"
+    inst_path.write_text(run("gen", "gadget").stdout)
+    good = json.loads(run("pierce", "--algo", "twoline", stdin=inst_path.read_text()).stdout)
+    for field, value, message in (
+            ("boxes", [[[5, 1], [0, 1]]], "instance.boxes[0][0]: interval has lo > hi: [5, 1]"),
+            ("lines", {"axis": -1, "c1": 0, "c2": 2}, "instance.lines: "),
+            ("lines", {"axis": 1, "c1": 8, "c2": 9}, "instance.instance: box 0 violates")):
+        report = json.loads(json.dumps(good))
+        report["instance"][field] = value
+        for flags in ((), ("--instance", str(inst_path))):
+            res = run("verify", *flags, stdin=json.dumps(report))
+            assert res.returncode == 1 and res.stdout == ""
+            assert res.stderr.startswith(f"boxpierce: {message}"), res.stderr
+    # an --instance file's own errors keep their bare locations
+    inst_path.write_text(json.dumps({"dim": 2, "boxes": [[[5, 1], [0, 1]]]}))
+    res = run("verify", "--instance", str(inst_path), stdin=json.dumps(good))
+    assert res.returncode == 1 and res.stderr.startswith("boxpierce: boxes[0][0]: ")
+
+
+def test_main_restores_the_collector_state_on_every_exit(tmp_path, capsys):
+    import gc
+
+    from boxpierce import cli
+    gadget = tmp_path / "gadget.json"
+    assert cli.main(["gen", "gadget", "--out", str(gadget)]) == 0
+    big = tmp_path / "big.json"
+    assert cli.main(["gen", "random", "--boxes", "40", "--out", str(big)]) == 0
+    cases = [(["nu", str(gadget)], 0), (["nu", str(tmp_path / "missing.json")], 1),
+             (["pierce", "--algo", "twoline", str(big)], 2), (["nu", str(big)], 3)]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in cases:
+                assert cli.main(argv) == code
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_pierce_embeds_the_canonical_form_of_a_non_canonical_input():
+    from boxpierce.instances import instance_from_json, instance_to_obj
+    gadget = json.loads(run("gen", "gadget").stdout)
+    # unsorted keys, compact separators, an extra top-level key and an extra key in lines
+    doc = {"zzz": [1, 2], "meta": {"seed": 3, "tag": "x"}, "lines": {"c2": 2, "extra": True,
+           "axis": 1, "c1": 0}, "boxes": gadget["boxes"], "dim": 2}
+    text = json.dumps(doc, separators=(",", ":"))
+    res = run("pierce", "--algo", "twoline", stdin=text)
+    assert res.returncode == 0, res.stderr
+    embedded = json.loads(res.stdout)["instance"]
+    assert embedded == instance_to_obj(instance_from_json(text))
+    assert "zzz" not in embedded and "extra" not in embedded["lines"]
+    verdict = run("verify", stdin=res.stdout)
+    assert verdict.returncode == 0 and json.loads(verdict.stdout)["hits_all"] is True
+
+
 def test_verify_runs_no_oracle():
     # nu and tau come from their own subcommands; verify takes no oracle flags
     report = run("pierce", "--algo", "twoline", stdin=run("gen", "gadget").stdout).stdout
@@ -377,6 +435,11 @@ def test_each_subcommand_imports_only_what_it_runs():
     gen = _loaded_by(run_cli.format(["gen", "gadget"]))
     assert "boxpierce.generators" in gen
     assert not {"boxpierce.piercing", "boxpierce.bounds"} & set(gen)
+    # the cap's default and error class reach the CLI without the oracles
+    assert "boxpierce.oracles" not in set(verify) | set(gen)
+    import boxpierce
+    assert boxpierce.CapExceeded is boxpierce.oracles.CapExceeded
+    assert "(default 32)" in run("pierce", "--help").stdout
     # importing dataclasses (inspect, ast, dis, tokenize) costs ~20 ms per process
     gadget = run("gen", "gadget").stdout
     loaded = [verify, gen, _loaded_by(run_cli.format(["bounds", "prop3", "5"]))]

@@ -13,6 +13,12 @@ oracles, the bound tables or the piercing algorithms, and `gen` loads
 neither the oracles nor the piercing algorithms. A command runs with the
 cyclic garbage collector off, since everything it builds is acyclic and
 freed by reference counting; `main` restores the collector's state.
+
+Instances travel as their documents' `[lo, hi]` rows. `gen random`
+writes the rows it draws, and `verify` checks the rows of the instance
+it verifies by the reader's rules and tests each against the points, so
+neither builds a `Box`. Only `pierce`, whose algorithms take a
+`BoxFamily`, builds one, and its report embeds the rows it checked.
 """
 
 from __future__ import annotations
@@ -21,22 +27,24 @@ import argparse
 import gc
 import sys
 
-from .geometry import DEFAULT_CAP, CapExceeded
+from .geometry import DEFAULT_CAP, CapExceeded, _check_lines
 from .instances import (
     Instance,
     InstanceFormatError,
+    _checked_rows,
     _instance_obj,
+    _instance_of,
     _loads,
+    _parse_report,
     _read_text,
     _report_obj,
+    _Rows,
+    _verify_rows,
     _write_text,
     dumps_canonical,
+    instance_to_obj,
     load_instance,
-    obj_to_instance,
-    parse_points_document,
-    verify_piercing,
     verify_to_obj,
-    write_instance,
 )
 
 EXIT_OK = 0
@@ -123,22 +131,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    from .generators import (EXTREMAL_TAG, GADGET_TAG, RandomSpec, gen_extremal_two_line,
-                             gen_gadget, gen_random, random_meta)
+    from .generators import (EXTREMAL_TAG, GADGET_TAG, RandomSpec, _random_lines,
+                             _random_rows, gen_extremal_two_line, gen_gadget, random_meta)
     if args.kind == "gadget":
         inst = Instance(gen_gadget(), {"generator": GADGET_TAG,
                                        "description": "5-box two-line family, nu=2 tau=3"})
+        obj = instance_to_obj(inst)
     elif args.kind == "extremal":
         inst = Instance(gen_extremal_two_line(args.n),
                         {"generator": EXTREMAL_TAG, "n": args.n,
                          "description": f"two-line family with nu={args.n}, tau=floor(3n/2)"})
+        obj = instance_to_obj(inst)
     else:
         spec = RandomSpec(n_boxes=args.boxes, dim=args.dim,
                           coord_range=tuple(args.range), seed=args.seed,
                           two_line=args.two_line,
                           lines=tuple(args.lines) if args.lines else None)
-        inst = Instance(gen_random(spec), random_meta(spec))
-    write_instance(inst, args.out)
+        # the drawn rows are written as they are: no Box is built only to be written
+        rows, lines = list(_random_rows(spec)), _random_lines(spec)
+        if lines is not None:  # the certificate check `gen_random`'s family gets
+            _check_lines(lines, spec.dim, rows)
+        obj = _instance_obj(_Rows(spec.dim, rows, lines, random_meta(spec)))
+    _write_text(args.out, dumps_canonical(obj))
     return EXIT_OK
 
 
@@ -163,9 +177,8 @@ def _cmd_tau(args) -> int:
 
 def _cmd_pierce(args) -> int:
     from .piercing import pierce_ddim, pierce_planar, pierce_two_lines
-    doc = _loads(_read_text(args.instance))
-    inst = obj_to_instance(doc)
-    family = inst.family
+    doc = _checked_rows(_loads(_read_text(args.instance)))
+    family = _instance_of(doc).family
     if args.algo == "twoline":
         report = pierce_two_lines(family, args.cap)
     elif args.algo == "planar":
@@ -173,7 +186,7 @@ def _cmd_pierce(args) -> int:
     else:
         report = pierce_ddim(family, args.policy, args.cap)
     # the report embeds the rows just checked: exact ints, so equal to what `instance_to_obj` builds
-    embedded = _instance_obj(inst, doc["boxes"])
+    embedded = _instance_obj(doc)
     _write_text(args.out, dumps_canonical(_report_obj(report, args.algo, args.policy, embedded)))
     return EXIT_OK
 
@@ -189,14 +202,14 @@ def _cmd_verify(args) -> int:
     if args.points == "-" and args.instance == "-":
         raise PreconditionError("stdin can feed only one of POINTS and --instance")
     text = _read_text(args.points)
-    inst = load_instance(args.instance) if args.instance is not None else None
+    # the instance is checked and tested as rows: verify builds no Box
+    doc = _checked_rows(_loads(_read_text(args.instance))) if args.instance is not None else None
     # the points must match the instance they are checked against
-    points, embedded, guarantee = parse_points_document(
-        text, inst.family.dim if inst is not None else None)
-    inst = inst or embedded
-    if inst is None:
+    points, embedded, guarantee = _parse_report(text, doc.dim if doc is not None else None)
+    doc = doc or embedded
+    if doc is None:
         raise PreconditionError("no instance: pass --instance or verify a pierce report")
-    vr = verify_piercing(inst.family, points, guarantee=guarantee)
+    vr = _verify_rows(doc.dim, doc.boxes, points, guarantee)
     sys.stdout.write(dumps_canonical(verify_to_obj(vr)))
     if guarantee is not None and vr.size > guarantee:
         print(f"boxpierce: {vr.size} points exceed the guarantee {guarantee}", file=sys.stderr)

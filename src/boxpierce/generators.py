@@ -9,7 +9,9 @@ floor(3n/2), matching the two-line guarantee exactly.
 
 Random generation is deterministic under (spec, seed); the generator
 tag below is written into instance metadata so files are reproducible
-only when the tag matches.
+only when the tag matches. Its boxes are drawn as `[lo, hi]` rows
+(`_random_rows`), which `gen random` writes as they are and `gen_random`
+streams into boxes.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ def _random_rows(spec: RandomSpec):
         yield row
 
 
+def _random_lines(spec: RandomSpec) -> TwoLines | None:
+    """`gen_random`'s two-line certificate, or None without `two_line`."""
+    return TwoLines(1, *spec.effective_lines()) if spec.two_line else None
+
+
 def gen_random(spec: RandomSpec) -> BoxFamily:
     """Random family, byte-for-byte reproducible under a fixed spec.
 
@@ -171,10 +178,13 @@ def gen_random(spec: RandomSpec) -> BoxFamily:
     choosing c1. This is `Random.randint`'s rule on CPython 3.10-3.13, so
     a width of 1 still draws `getrandbits(1)`.
     """
-    # every row is in range by RandomSpec's checks, so the family holds every row
-    boxes = tuple(_boxes_of_rows(_random_rows(spec), spec.dim))
-    lines = TwoLines(1, *spec.effective_lines()) if spec.two_line else None
-    return _checked_family(spec.dim, boxes, lines)
+    # every row is in range by RandomSpec's checks, so the family holds every row; the rows
+    # stream into boxes, so no list of them is held
+    boxes = tuple(_boxes_of_rows(_random_rows(spec)))
+    lines = _random_lines(spec)
+    if lines is not None:  # the certificate goes through BoxFamily's checks
+        return BoxFamily(spec.dim, boxes, lines)
+    return _checked_family(spec.dim, boxes, None)
 
 
 def random_meta(spec: RandomSpec) -> dict:

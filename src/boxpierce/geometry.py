@@ -143,21 +143,28 @@ class Box(_Value):
 _set_lo, _set_hi, _set_sides = Interval.lo.__set__, Interval.hi.__set__, Box.sides.__set__
 
 
-def _boxes_of_rows(rows, dim: int) -> list[Box]:
-    """The Boxes of `rows` in one pass, each row a list of `dim` [lo, hi] lists of 64-bit ints
-    lo <= hi. The list stops before the first row that is not one, for the caller to locate."""
+def _valid_rows(rows: list, dim: int) -> int:
+    """How many leading items of `rows` are box rows: lists of `dim` [lo, hi] lists of 64-bit
+    ints lo <= hi. The count stops at the first item that is not one, for the caller to locate."""
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == dim):
+            return i
+        for pair in row:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                return i
+            lo, hi = pair
+            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
+                return i
+    return len(rows)
+
+
+def _boxes_of_rows(rows) -> list[Box]:
+    """The Boxes of `rows`, each a row that `_valid_rows` accepts, built without checks."""
     new, set_lo, set_hi, set_sides = _new, _set_lo, _set_hi, _set_sides
     boxes = []
     for row in rows:
-        if not (isinstance(row, list) and len(row) == dim):
-            break
         sides = []
-        for pair in row:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                return boxes
-            lo, hi = pair
-            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
-                return boxes
+        for lo, hi in row:
             iv = new(Interval)
             set_lo(iv, lo)
             set_hi(iv, hi)
@@ -221,15 +228,7 @@ class BoxFamily(_Value):
             ln = self.lines
             if not isinstance(ln, TwoLines):
                 raise ValueError(f"lines must be a TwoLines, got {ln!r}")
-            if ln.axis >= self.dim:
-                raise ValueError(f"line axis {ln.axis} out of range for dimension {self.dim}")
-            for i, b in enumerate(self.boxes):
-                iv = b.sides[ln.axis]
-                if not (iv.contains(ln.c1) or iv.contains(ln.c2)):
-                    raise ValueError(
-                        f"box {i} violates the two-line condition: "
-                        f"[{iv.lo}, {iv.hi}] on axis {ln.axis} misses both {ln.c1} and {ln.c2}"
-                    )
+            _check_lines(ln, self.dim, map(Box.bounds, self.boxes))
 
     @classmethod
     def of(cls, boxes, lines: TwoLines | None = None, dim: int | None = None) -> BoxFamily:
@@ -251,15 +250,27 @@ class BoxFamily(_Value):
         return BoxFamily(self.dim, tuple(boxes), lines)
 
 
+def _check_lines(lines: TwoLines, dim: int, rows) -> None:
+    """Refuse `lines` unless it certifies the `dim`-d family of `rows`, each one (lo, hi) pair
+    per axis (`Box.bounds()` or an instance document's row): every row's pair on the lines'
+    axis must contain c1 or c2."""
+    axis, c1, c2 = lines.axis, lines.c1, lines.c2
+    if axis >= dim:
+        raise ValueError(f"line axis {axis} out of range for dimension {dim}")
+    for i, row in enumerate(rows):
+        lo, hi = row[axis]
+        if not (lo <= c1 <= hi or lo <= c2 <= hi):
+            raise ValueError(f"box {i} violates the two-line condition: "
+                             f"[{lo}, {hi}] on axis {axis} misses both {c1} and {c2}")
+
+
 def _checked_family(dim: int, boxes: tuple[Box, ...], lines: TwoLines | None) -> BoxFamily:
-    """The BoxFamily of `boxes`: the caller has checked that `dim` is a positive int and each
-    box a Box of `dim` sides, so only a two-line certificate sends them through the checks."""
-    if lines is not None:
-        return BoxFamily(dim, boxes, lines)
+    """The BoxFamily of `boxes`, built without checks: the caller has checked that `dim` is a
+    positive int, each box a Box of `dim` sides, and `lines`, if any, with `_check_lines`."""
     f = _new(BoxFamily)
     _set(f, "dim", dim)
     _set(f, "boxes", boxes)
-    _set(f, "lines", None)
+    _set(f, "lines", lines)
     return f
 
 

@@ -4,15 +4,21 @@ An instance document holds `dim`, `boxes` (per-axis [lo, hi] integer
 pairs), an optional `lines` certificate and optional `meta`. Writing is
 canonical (sorted keys, fixed indentation, trailing newline), so
 write(read(file)) reproduces the file byte for byte and equal families
-serialize identically. Reading checks the document's shape; each value
-is checked by the geometry constructor that builds it, whose error is
-re-raised as `InstanceFormatError` naming the location (`boxes[i][ax]`,
-`lines`, `points[i]`, or `instance` for rules on the whole family).
+serialize identically. Reading checks the document as rows: its
+dimension, each `[lo, hi]` row (`geometry._valid_rows`), `lines`, `meta`
+and then the two-line certificate (`geometry._check_lines`), in that
+order. The first failure is raised as `InstanceFormatError` naming the
+location (`boxes[i][ax]`, `lines`, `points[i]`, or `instance` for rules
+on the whole family), with the message of the geometry constructor or
+rule that refuses the value. Only then are boxes built, unchecked, for
+the callers that need a `BoxFamily`; `verify` tests the checked rows
+against the points without building any.
 
 A pierce report document embeds the instance it was computed from,
 which lets `verify` consume a report from a pipe without a separate
 instance argument. An error in the embedded instance names its
-location under `instance.` (`instance.boxes[0][0]`).
+location under `instance.` (`instance.boxes[0][0]`, and `instance:`
+when it is not an object).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, NoReturn
 
 from .geometry import (Box, BoxFamily, Interval, Point, TwoLines, _boxes_of_rows,
-                       _checked_family)
+                       _check_lines, _checked_family, _valid_rows)
 
 if TYPE_CHECKING:
     from .piercing import PierceReport
@@ -123,18 +129,28 @@ def _shape(compact: str) -> str:
     return shape
 
 
+class _Rows(NamedTuple):
+    """An instance as its document's fields, with each box as a row of [lo, hi] pairs."""
+
+    dim: int
+    boxes: list
+    lines: TwoLines | None
+    meta: Mapping[str, Any] | None
+
+
 def instance_to_obj(inst: Instance) -> dict:
-    return _instance_obj(inst, [[[iv.lo, iv.hi] for iv in b.sides] for b in inst.family.boxes])
-
-
-def _instance_obj(inst: Instance, rows: list) -> dict:
-    """The canonical object of `inst`, whose `boxes` are `rows`: each box's [lo, hi] lists."""
     fam = inst.family
-    obj: dict[str, Any] = {"dim": fam.dim, "boxes": rows}
-    if fam.lines is not None:
-        obj["lines"] = {"axis": fam.lines.axis, "c1": fam.lines.c1, "c2": fam.lines.c2}
-    if inst.meta:
-        obj["meta"] = dict(inst.meta)
+    rows = [[[iv.lo, iv.hi] for iv in b.sides] for b in fam.boxes]
+    return _instance_obj(_Rows(fam.dim, rows, fam.lines, inst.meta))
+
+
+def _instance_obj(doc: _Rows) -> dict:
+    """The canonical object of `doc`."""
+    obj: dict[str, Any] = {"dim": doc.dim, "boxes": doc.boxes}
+    if doc.lines is not None:
+        obj["lines"] = {"axis": doc.lines.axis, "c1": doc.lines.c1, "c2": doc.lines.c2}
+    if doc.meta:
+        obj["meta"] = dict(doc.meta)
     return obj
 
 
@@ -145,17 +161,29 @@ def instance_to_json(inst: Instance | BoxFamily) -> str:
 
 
 def obj_to_instance(obj: Any) -> Instance:
+    return _instance_of(_checked_rows(obj))
+
+
+def _instance_of(doc: _Rows) -> Instance:
+    """The Instance of `doc`, which `_checked_rows` returned."""
+    return Instance(_checked_family(doc.dim, tuple(_boxes_of_rows(doc.boxes)), doc.lines),
+                    doc.meta)
+
+
+def _checked_rows(obj: Any) -> _Rows:
+    """Instance document `obj` as rows, once its dimension, each row, `lines`, `meta` and
+    then the two-line certificate are checked, in that order."""
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"instance document must be an object, got {type(obj).__name__}")
     dim = obj.get("dim")
     if type(dim) is not int or dim < 1:
         raise InstanceFormatError(f"dim: expected an integer >= 1, got {dim!r}")
-    raw_boxes = obj.get("boxes")
-    if not isinstance(raw_boxes, list):
+    rows = obj.get("boxes")
+    if not isinstance(rows, list):
         raise InstanceFormatError("boxes: expected a list")
-    boxes = _boxes_of_rows(raw_boxes, dim)
-    if len(boxes) < len(raw_boxes):
-        _refuse_row(raw_boxes[len(boxes)], len(boxes), dim)
+    valid = _valid_rows(rows, dim)
+    if valid < len(rows):
+        _refuse_row(rows[valid], valid, dim)
     lines = None
     if obj.get("lines") is not None:
         raw_lines = obj["lines"]
@@ -166,11 +194,13 @@ def obj_to_instance(obj: Any) -> Instance:
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InstanceFormatError("meta: expected an object")
-    return Instance(_build(_checked_family, (dim, tuple(boxes), lines), "instance"), meta)
+    if lines is not None:
+        _build(_check_lines, (lines, dim, rows), "instance")
+    return _Rows(dim, rows, lines, meta)
 
 
 def _refuse_row(raw: Any, i: int, dim: int) -> NoReturn:
-    """Raise the located error of `raw`, row `i` of `boxes`, which `_boxes_of_rows` refused."""
+    """Raise the located error of `raw`, row `i` of `boxes`, which `_valid_rows` refused."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
     for ax, pair in enumerate(raw):
@@ -268,13 +298,22 @@ def parse_points_document(text: str, dim: int | None = None
     a `points` field. Every point must have `dim` coordinates; without
     `dim`, that of the embedded instance, else of the first point.
     """
+    points, embedded, guarantee = _parse_report(text, dim)
+    return points, None if embedded is None else _instance_of(embedded), guarantee
+
+
+def _parse_report(text: str, dim: int | None) -> tuple[list[Point], _Rows | None, float | None]:
+    """`parse_points_document`, with the embedded instance as checked rows."""
     obj = _loads(text)
     if not isinstance(obj, dict) or "points" not in obj:
         raise InstanceFormatError("expected an object with a 'points' field")
-    instance = None
-    if obj.get("instance") is not None:
+    instance = obj.get("instance")
+    if instance is not None:
+        if not isinstance(instance, dict):
+            kind = type(instance).__name__
+            raise InstanceFormatError(f"instance: expected an object, got {kind}")
         try:
-            instance = obj_to_instance(obj["instance"])
+            instance = _checked_rows(instance)
         except InstanceFormatError as exc:  # name the document, apart from an --instance file
             raise InstanceFormatError(f"instance.{exc}") from exc
     guarantee = obj.get("guarantee")
@@ -286,7 +325,7 @@ def parse_points_document(text: str, dim: int | None = None
         except OverflowError:  # an integer literal past a double's range
             raise InstanceFormatError("guarantee: number out of range") from None
     if dim is None and instance is not None:
-        dim = instance.family.dim
+        dim = instance.dim
     raw_points = obj["points"]
     if dim is None:
         if not isinstance(raw_points, list):
@@ -323,23 +362,28 @@ def verify_piercing(family: BoxFamily, points, guarantee: float | None = None) -
     tests only the points inside it, so 1-d input takes
     O((n + |P|) log |P|).
     """
+    return _verify_rows(family.dim, map(Box.bounds, family.boxes), points, guarantee)
+
+
+def _verify_rows(dim: int, rows, points, guarantee: float | None) -> VerifyReport:
+    """`verify_piercing` of the `dim`-d family whose boxes are `rows` of (lo, hi) pairs."""
     points = list(points)
     for j, p in enumerate(points):
-        if p.dim != family.dim:
-            raise ValueError(f"dimension mismatch: family is {family.dim}-d, "
-                             f"point {j} is {p.dim}-d")
+        if p.dim != dim:
+            raise ValueError(f"dimension mismatch: family is {dim}-d, point {j} is {p.dim}-d")
     coords = sorted(p.coords for p in points)
     xs = [c[0] for c in coords]
-    violations = tuple(i for i, b in enumerate(family.boxes) if not _pierced(b, coords, xs))
+    violations = tuple(i for i, row in enumerate(rows) if not _pierced(row, coords, xs))
     return VerifyReport(not violations, len(points), guarantee, violations)
 
 
-def _pierced(box: Box, coords: list[tuple[int, ...]], xs: list[int]) -> bool:
-    """True iff some point of `coords` (sorted, with axis-0 values `xs`) lies in `box`."""
-    first, rest = box.sides[0], box.sides[1:]
-    k, hi = bisect_left(xs, first.lo), first.hi
+def _pierced(row, coords: list[tuple[int, ...]], xs: list[int]) -> bool:
+    """True iff some point of `coords` (sorted, with axis-0 values `xs`) lies in the box of
+    `row`, its (lo, hi) pair per axis."""
+    (lo, hi), rest = row[0], row[1:]
+    k = bisect_left(xs, lo)
     while k < len(xs) and xs[k] <= hi:
-        if not rest or all(iv.lo <= x <= iv.hi for iv, x in zip(rest, coords[k][1:])):
+        if not rest or all(a <= x <= b for (a, b), x in zip(rest, coords[k][1:])):
             return True
         k += 1
     return False

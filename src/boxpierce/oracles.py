@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from operator import and_, or_
+from operator import or_
 from typing import NamedTuple
 
 from .geometry import DEFAULT_CAP, BoxFamily, CapExceeded, Point, intersects

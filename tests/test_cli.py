@@ -237,20 +237,81 @@ def test_verify_names_the_report_as_the_home_of_a_bad_embedded_instance(tmp_path
     inst_path = tmp_path / "g.json"
     inst_path.write_text(run("gen", "gadget").stdout)
     good = json.loads(run("pierce", "--algo", "twoline", stdin=inst_path.read_text()).stdout)
-    for field, value, message in (
-            ("boxes", [[[5, 1], [0, 1]]], "instance.boxes[0][0]: interval has lo > hi: [5, 1]"),
-            ("lines", {"axis": -1, "c1": 0, "c2": 2}, "instance.lines: "),
-            ("lines", {"axis": 1, "c1": 8, "c2": 9}, "instance.instance: box 0 violates")):
+
+    def box(i, ax, pair):
+        return lambda report: report["instance"]["boxes"][i].__setitem__(ax, pair)
+
+    def field(name, value):
+        return lambda report: report["instance"].__setitem__(name, value)
+
+    def bad_row_and_guarantee(report):
+        box(4, 1, [5, 0])(report)
+        report["guarantee"] = True
+    for tamper, message in (
+            (box(0, 0, [5, 1]), "instance.boxes[0][0]: interval has lo > hi: [5, 1]"),
+            (field("lines", {"axis": -1, "c1": 0, "c2": 2}), "instance.lines: "),
+            (field("lines", {"axis": 1, "c1": 8, "c2": 9}), "instance.instance: box 0 violates"),
+            (lambda report: report["instance"]["boxes"][2].append([0, 1]),
+             "instance.boxes[2]: expected 2 [lo, hi] pairs"),
+            (box(3, 0, 3), "instance.boxes[3][0]: expected an [lo, hi] pair"),
+            (box(1, 1, [0, 1.5]), "instance.boxes[1][1]: interval hi: coordinate must be an "
+                                  "integer, got 1.5"),
+            (box(1, 0, [True, 1]), "instance.boxes[1][0]: interval lo: coordinate must be an "
+                                   "integer, got True"),
+            (box(4, 0, [0, 2**63]), "instance.boxes[4][0]: interval hi: coordinate "
+                                    "9223372036854775808 outside 64-bit range"),
+            (field("lines", {"axis": 2, "c1": 0, "c2": 2}),
+             "instance.instance: line axis 2 out of range for dimension 2"),
+            (field("meta", ["seed", 3]), "instance.meta: expected an object"),
+            # each row is checked before the report's own fields
+            (bad_row_and_guarantee, "instance.boxes[4][1]: interval has lo > hi: [5, 0]"),
+            (lambda report: report.__setitem__("instance", []),
+             "instance: expected an object, got list")):
         report = json.loads(json.dumps(good))
-        report["instance"][field] = value
+        tamper(report)
         for flags in ((), ("--instance", str(inst_path))):
             res = run("verify", *flags, stdin=json.dumps(report))
             assert res.returncode == 1 and res.stdout == ""
             assert res.stderr.startswith(f"boxpierce: {message}"), res.stderr
     # an --instance file's own errors keep their bare locations
-    inst_path.write_text(json.dumps({"dim": 2, "boxes": [[[5, 1], [0, 1]]]}))
-    res = run("verify", "--instance", str(inst_path), stdin=json.dumps(good))
-    assert res.returncode == 1 and res.stderr.startswith("boxpierce: boxes[0][0]: ")
+    for doc, message in (({"dim": 2, "boxes": [[[5, 1], [0, 1]]]}, "boxes[0][0]: "),
+                         ([], "instance document must be an object, got list")):
+        inst_path.write_text(json.dumps(doc))
+        res = run("verify", "--instance", str(inst_path), stdin=json.dumps(good))
+        assert res.returncode == 1 and res.stderr.startswith(f"boxpierce: {message}"), res.stderr
+
+
+def test_gen_and_verify_build_no_box_and_pierce_does(tmp_path, monkeypatch, capsys):
+    import io
+    from collections import Counter
+
+    from boxpierce import cli, geometry
+    built = Counter()
+    new = geometry._new  # the allocator of every value built without its checks
+    monkeypatch.setattr(geometry, "_new", lambda cls: built.update([cls.__name__]) or new(cls))
+    for cls in (geometry.Box, geometry.Interval):
+        def counted_init(self, *args, _init=cls.__init__):
+            built.update([type(self).__name__])
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    def stage(argv, stdin=""):
+        built.clear()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, built["Box"] + built["Interval"]
+    interval_doc, made = stage(["gen", "random", "--boxes", "40", "--dim", "1", "--seed", "3"])
+    assert made == 0
+    two_line_doc, made = stage(["gen", "random", "--boxes", "30", "--two-line", "--seed", "3"])
+    assert made == 0 and json.loads(two_line_doc)["lines"]["axis"] == 1
+    for doc, algo in ((interval_doc, "ddim"), (two_line_doc, "twoline")):
+        report, made = stage(["pierce", "--algo", algo], doc)
+        assert made >= len(json.loads(doc)["boxes"])
+        inst_path = tmp_path / f"{algo}.json"
+        inst_path.write_text(doc)
+        for flags in ((), ("--instance", str(inst_path))):
+            verdict, made = stage(["verify", *flags], report)
+            assert made == 0 and json.loads(verdict)["hits_all"] is True
 
 
 def test_main_restores_the_collector_state_on_every_exit(tmp_path, capsys):

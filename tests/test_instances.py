@@ -12,8 +12,10 @@ from boxpierce import (
     Instance,
     InstanceFormatError,
     Point,
+    RandomSpec,
     gen_extremal_two_line,
     gen_gadget,
+    gen_random,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -269,3 +271,35 @@ def test_verify_matches_brute_force_containment(f, data):
     assert vr.violations == expected
     assert vr.hits_all == (not expected)
     assert vr.size == len(points)
+
+
+@st.composite
+def _pierced_or_nearly(draw):
+    """A 1-3-d or two-line family and points that pierce it, some then dropped or shifted."""
+    if draw(st.booleans()):
+        f = draw(families(12))
+    else:
+        f = gen_random(RandomSpec(draw(st.integers(0, 12)), 2, (-6, 6),
+                                  seed=draw(st.integers(0, 2**16)), two_line=True))
+    n = len(f.boxes)
+    picked = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))
+    coords = [[iv.lo for iv in f.boxes[i].sides] for i in picked]  # low corners
+    for c in coords:
+        if draw(st.booleans()):
+            c[draw(st.integers(0, f.dim - 1))] += draw(st.sampled_from((-1, 1)))
+    return f, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pierced_or_nearly(), st.none() | st.integers(0, 20))
+def test_verify_on_rows_matches_verify_piercing_on_the_family(case, guarantee):
+    from boxpierce.instances import _parse_report, _verify_rows, instance_to_obj
+    f, coords = case
+    text = json.dumps({"points": coords, "guarantee": guarantee,
+                       "instance": instance_to_obj(Instance(f))})
+    points, doc, claimed = _parse_report(text, None)
+    on_rows = _verify_rows(doc.dim, doc.boxes, points, claimed)
+    points, embedded, claimed = parse_points_document(text)
+    assert embedded.family == f
+    assert on_rows == verify_piercing(f, points, guarantee=claimed)
+    assert on_rows.violations == tuple(unsound_indices(f, points))

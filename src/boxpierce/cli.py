@@ -14,11 +14,12 @@ neither the oracles nor the piercing algorithms. A command runs with the
 cyclic garbage collector off, since everything it builds is acyclic and
 freed by reference counting; `main` restores the collector's state.
 
-Instances travel as their documents' `[lo, hi]` rows. `gen random`
-writes the rows it draws, and `verify` checks the rows of the instance
-it verifies by the reader's rules and tests each against the points, so
-neither builds a `Box`. Only `pierce`, whose algorithms take a
-`BoxFamily`, builds one, and its report embeds the rows it checked.
+Instances travel as their documents' `[lo, hi]` rows. Every `gen` kind
+writes the rows its generator lays out, and `verify` checks the rows of
+the instance it verifies by the reader's rules and tests each against
+the points, so neither builds a `Box`. Only `pierce`, whose algorithms
+take a `BoxFamily`, builds one, and its report embeds the rows it
+checked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import sys
 
 from .geometry import DEFAULT_CAP, CapExceeded, _check_lines
 from .instances import (
-    Instance,
     InstanceFormatError,
     _checked_rows,
     _instance_obj,
@@ -42,7 +42,6 @@ from .instances import (
     _verify_rows,
     _write_text,
     dumps_canonical,
-    instance_to_obj,
     load_instance,
     verify_to_obj,
 )
@@ -131,28 +130,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    from .generators import (EXTREMAL_TAG, GADGET_TAG, RandomSpec, _random_lines,
-                             _random_rows, gen_extremal_two_line, gen_gadget, random_meta)
+    from .generators import (_GADGET_LINES, EXTREMAL_TAG, GADGET_TAG, RandomSpec, _extremal_rows,
+                             _random_lines, _random_rows, random_meta)
     if args.kind == "gadget":
-        inst = Instance(gen_gadget(), {"generator": GADGET_TAG,
-                                       "description": "5-box two-line family, nu=2 tau=3"})
-        obj = instance_to_obj(inst)
+        doc = _Rows(2, _extremal_rows(2), _GADGET_LINES,
+                    {"generator": GADGET_TAG, "description": "5-box two-line family, nu=2 tau=3"})
     elif args.kind == "extremal":
-        inst = Instance(gen_extremal_two_line(args.n),
-                        {"generator": EXTREMAL_TAG, "n": args.n,
-                         "description": f"two-line family with nu={args.n}, tau=floor(3n/2)"})
-        obj = instance_to_obj(inst)
+        doc = _Rows(2, _extremal_rows(args.n), _GADGET_LINES,
+                    {"generator": EXTREMAL_TAG, "n": args.n,
+                     "description": f"two-line family with nu={args.n}, tau=floor(3n/2)"})
     else:
         spec = RandomSpec(n_boxes=args.boxes, dim=args.dim,
                           coord_range=tuple(args.range), seed=args.seed,
                           two_line=args.two_line,
                           lines=tuple(args.lines) if args.lines else None)
-        # the drawn rows are written as they are: no Box is built only to be written
-        rows, lines = list(_random_rows(spec)), _random_lines(spec)
-        if lines is not None:  # the certificate check `gen_random`'s family gets
-            _check_lines(lines, spec.dim, rows)
-        obj = _instance_obj(_Rows(spec.dim, rows, lines, random_meta(spec)))
-    _write_text(args.out, dumps_canonical(obj))
+        doc = _Rows(spec.dim, list(_random_rows(spec)), _random_lines(spec), random_meta(spec))
+    # the rows are written as they are laid out, under the certificate check each `gen_*`
+    # family gets: no Box is built only to be written
+    _check_lines(doc.lines, doc.dim, doc.boxes)
+    _write_text(args.out, dumps_canonical(_instance_obj(doc)))
     return EXIT_OK
 
 

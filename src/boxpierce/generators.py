@@ -9,17 +9,19 @@ floor(3n/2), matching the two-line guarantee exactly.
 
 Random generation is deterministic under (spec, seed); the generator
 tag below is written into instance metadata so files are reproducible
-only when the tag matches. Its boxes are drawn as `[lo, hi]` rows
-(`_random_rows`), which `gen random` writes as they are and `gen_random`
-streams into boxes.
+only when the tag matches.
+
+Every family is laid out as `[lo, hi]` rows (`_extremal_rows`,
+`_random_rows`) with its two-line certificate, if any: `gen` writes the
+rows as they are, and each `gen_*` builds its boxes from them through
+`geometry._family_of_rows`, which checks the certificate.
 """
 
 from __future__ import annotations
 
 import random
 
-from .geometry import (COORD_BOUND, Box, BoxFamily, Interval, TwoLines, _boxes_of_rows,
-                       _checked_family, _set, _Value)
+from .geometry import COORD_BOUND, BoxFamily, TwoLines, _family_of_rows, _set, _Value
 
 GADGET_TAG = "boxpierce.gadget/v1"
 EXTREMAL_TAG = "boxpierce.extremal/v1"
@@ -40,15 +42,21 @@ _GADGET_LINES = TwoLines(axis=1, c1=0, c2=2)
 _COPY_STRIDE = 10
 
 
+def _extremal_rows(n: int) -> list:
+    """The [lo, hi] rows of `gen_extremal_two_line(n)`."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need n >= 1, got {n!r}")
+    x0 = _COPY_STRIDE * (n // 2)  # where the copies end and the odd n's extra box starts
+    rows = [[[dx + lo, dx + hi], [ylo, yhi]] for dx in range(0, x0, _COPY_STRIDE)
+            for (lo, hi), (ylo, yhi) in _GADGET_BOUNDS]
+    if n % 2 == 1:
+        rows.append([[x0, x0 + 1], [0, 1]])
+    return rows
+
+
 def gen_gadget() -> BoxFamily:
     """The 5-box two-line family with packing number 2 and piercing number 3."""
-    boxes = tuple(Box.from_bounds(b) for b in _GADGET_BOUNDS)
-    return BoxFamily(2, boxes, _GADGET_LINES)
-
-
-def _shift_x(box: Box, dx: int) -> Box:
-    x, rest = box.sides[0], box.sides[1:]
-    return Box((Interval(x.lo + dx, x.hi + dx),) + rest)
+    return gen_extremal_two_line(2)
 
 
 def gen_extremal_two_line(n: int) -> BoxFamily:
@@ -57,17 +65,7 @@ def gen_extremal_two_line(n: int) -> BoxFamily:
     floor(n/2) disjoint gadget copies translated along x; when n is odd,
     one extra box meeting the lower line, disjoint from every copy.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"need n >= 1, got {n!r}")
-    gadget = gen_gadget()
-    boxes: list[Box] = []
-    copies = n // 2
-    for i in range(copies):
-        boxes.extend(_shift_x(b, _COPY_STRIDE * i) for b in gadget.boxes)
-    if n % 2 == 1:
-        x0 = _COPY_STRIDE * copies
-        boxes.append(Box.from_bounds(((x0, x0 + 1), (0, 1))))
-    return BoxFamily(2, tuple(boxes), _GADGET_LINES)
+    return _family_of_rows(2, _extremal_rows(n), _GADGET_LINES)
 
 
 def _tuple(value):
@@ -178,13 +176,9 @@ def gen_random(spec: RandomSpec) -> BoxFamily:
     choosing c1. This is `Random.randint`'s rule on CPython 3.10-3.13, so
     a width of 1 still draws `getrandbits(1)`.
     """
-    # every row is in range by RandomSpec's checks, so the family holds every row; the rows
-    # stream into boxes, so no list of them is held
-    boxes = tuple(_boxes_of_rows(_random_rows(spec)))
-    lines = _random_lines(spec)
-    if lines is not None:  # the certificate goes through BoxFamily's checks
-        return BoxFamily(spec.dim, boxes, lines)
-    return _checked_family(spec.dim, boxes, None)
+    # every row is in range by RandomSpec's checks; the rows stream into boxes, so no list of
+    # them is held
+    return _family_of_rows(spec.dim, _random_rows(spec), _random_lines(spec))
 
 
 def random_meta(spec: RandomSpec) -> dict:

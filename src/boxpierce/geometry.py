@@ -143,23 +143,13 @@ class Box(_Value):
 _set_lo, _set_hi, _set_sides = Interval.lo.__set__, Interval.hi.__set__, Box.sides.__set__
 
 
-def _valid_rows(rows: list, dim: int) -> int:
-    """How many leading items of `rows` are box rows: lists of `dim` [lo, hi] lists of 64-bit
-    ints lo <= hi. The count stops at the first item that is not one, for the caller to locate."""
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == dim):
-            return i
-        for pair in row:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                return i
-            lo, hi = pair
-            if not (type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND):
-                return i
-    return len(rows)
-
-
-def _boxes_of_rows(rows) -> list[Box]:
-    """The Boxes of `rows`, each a row that `_valid_rows` accepts, built without checks."""
+def _family_of_rows(dim: int, rows, lines: TwoLines | None) -> BoxFamily:
+    """The BoxFamily of `rows`, each `dim` [lo, hi] pairs of 64-bit ints lo <= hi for a positive
+    `dim`, as the caller has checked. `lines`, if any, is checked on the rows first; the boxes
+    are built without checks. Without `lines`, `rows` is read once, so it may be a stream."""
+    if lines is not None:  # a stream yields its rows only once
+        rows = list(rows)
+        _check_lines(lines, dim, rows)
     new, set_lo, set_hi, set_sides = _new, _set_lo, _set_hi, _set_sides
     boxes = []
     for row in rows:
@@ -172,7 +162,11 @@ def _boxes_of_rows(rows) -> list[Box]:
         box = new(Box)
         set_sides(box, tuple(sides))
         boxes.append(box)
-    return boxes
+    f = new(BoxFamily)
+    _set(f, "dim", dim)
+    _set(f, "boxes", tuple(boxes))
+    _set(f, "lines", lines)
+    return f
 
 
 def intersects(p: Box, q: Box) -> bool:
@@ -250,10 +244,12 @@ class BoxFamily(_Value):
         return BoxFamily(self.dim, tuple(boxes), lines)
 
 
-def _check_lines(lines: TwoLines, dim: int, rows) -> None:
-    """Refuse `lines` unless it certifies the `dim`-d family of `rows`, each one (lo, hi) pair
-    per axis (`Box.bounds()` or an instance document's row): every row's pair on the lines'
-    axis must contain c1 or c2."""
+def _check_lines(lines: TwoLines | None, dim: int, rows) -> None:
+    """Refuse `lines` unless it is None or certifies the `dim`-d family of `rows`, each one
+    (lo, hi) pair per axis (`Box.bounds()` or an instance document's row): every row's pair on
+    the lines' axis must contain c1 or c2."""
+    if lines is None:
+        return
     axis, c1, c2 = lines.axis, lines.c1, lines.c2
     if axis >= dim:
         raise ValueError(f"line axis {axis} out of range for dimension {dim}")
@@ -262,16 +258,6 @@ def _check_lines(lines: TwoLines, dim: int, rows) -> None:
         if not (lo <= c1 <= hi or lo <= c2 <= hi):
             raise ValueError(f"box {i} violates the two-line condition: "
                              f"[{lo}, {hi}] on axis {axis} misses both {c1} and {c2}")
-
-
-def _checked_family(dim: int, boxes: tuple[Box, ...], lines: TwoLines | None) -> BoxFamily:
-    """The BoxFamily of `boxes`, built without checks: the caller has checked that `dim` is a
-    positive int, each box a Box of `dim` sides, and `lines`, if any, with `_check_lines`."""
-    f = _new(BoxFamily)
-    _set(f, "dim", dim)
-    _set(f, "boxes", boxes)
-    _set(f, "lines", lines)
-    return f
 
 
 class FourWaySplit(NamedTuple):

@@ -5,14 +5,16 @@ pairs), an optional `lines` certificate and optional `meta`. Writing is
 canonical (sorted keys, fixed indentation, trailing newline), so
 write(read(file)) reproduces the file byte for byte and equal families
 serialize identically. Reading checks the document as rows: its
-dimension, each `[lo, hi]` row (`geometry._valid_rows`), `lines`, `meta`
-and then the two-line certificate (`geometry._check_lines`), in that
-order. The first failure is raised as `InstanceFormatError` naming the
-location (`boxes[i][ax]`, `lines`, `points[i]`, or `instance` for rules
-on the whole family), with the message of the geometry constructor or
-rule that refuses the value. Only then are boxes built, unchecked, for
-the callers that need a `BoxFamily`; `verify` tests the checked rows
-against the points without building any.
+dimension, each `[lo, hi]` row (one loop in `_checked_rows`), `lines`,
+`meta` and then the two-line certificate (`geometry._check_lines`), in
+that order. The first failure is raised as `InstanceFormatError` naming
+the location (`boxes[i][ax]`, `lines`, `points[i]`, or `instance` for
+rules on the whole family), with the message of the geometry
+constructor or rule that refuses the value. Only then are boxes built,
+unchecked, for the callers that need a `BoxFamily`, by
+`geometry._family_of_rows`, the builder every generator also uses;
+`verify` tests the checked rows against the points without building
+any.
 
 A pierce report document embeds the instance it was computed from,
 which lets `verify` consume a report from a pipe without a separate
@@ -27,10 +29,10 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
-from .geometry import (Box, BoxFamily, Interval, Point, TwoLines, _boxes_of_rows,
-                       _check_lines, _checked_family, _valid_rows)
+from .geometry import (COORD_BOUND, Box, BoxFamily, Interval, Point, TwoLines, _check_lines,
+                       _family_of_rows)
 
 if TYPE_CHECKING:
     from .piercing import PierceReport
@@ -166,8 +168,7 @@ def obj_to_instance(obj: Any) -> Instance:
 
 def _instance_of(doc: _Rows) -> Instance:
     """The Instance of `doc`, which `_checked_rows` returned."""
-    return Instance(_checked_family(doc.dim, tuple(_boxes_of_rows(doc.boxes)), doc.lines),
-                    doc.meta)
+    return Instance(_family_of_rows(doc.dim, doc.boxes, doc.lines), doc.meta)
 
 
 def _checked_rows(obj: Any) -> _Rows:
@@ -181,9 +182,18 @@ def _checked_rows(obj: Any) -> _Rows:
     rows = obj.get("boxes")
     if not isinstance(rows, list):
         raise InstanceFormatError("boxes: expected a list")
-    valid = _valid_rows(rows, dim)
-    if valid < len(rows):
-        _refuse_row(rows[valid], valid, dim)
+    for i, row in enumerate(rows):  # a pair's axis is looked up only once the pair fails
+        if not (isinstance(row, list) and len(row) == dim):
+            raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
+        for pair in row:
+            if isinstance(pair, list) and len(pair) == 2:
+                lo, hi = pair
+                if type(lo) is int and type(hi) is int and -COORD_BOUND <= lo <= hi < COORD_BOUND:
+                    continue
+            where = f"boxes[{i}][{[p is pair for p in row].index(True)}]"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise InstanceFormatError(f"{where}: expected an [lo, hi] pair")
+            _build(Interval, pair, where)  # raises Interval's own message
     lines = None
     if obj.get("lines") is not None:
         raw_lines = obj["lines"]
@@ -194,20 +204,8 @@ def _checked_rows(obj: Any) -> _Rows:
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InstanceFormatError("meta: expected an object")
-    if lines is not None:
-        _build(_check_lines, (lines, dim, rows), "instance")
+    _build(_check_lines, (lines, dim, rows), "instance")
     return _Rows(dim, rows, lines, meta)
-
-
-def _refuse_row(raw: Any, i: int, dim: int) -> NoReturn:
-    """Raise the located error of `raw`, row `i` of `boxes`, which `_valid_rows` refused."""
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise InstanceFormatError(f"boxes[{i}]: expected {dim} [lo, hi] pairs")
-    for ax, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InstanceFormatError(f"boxes[{i}][{ax}]: expected an [lo, hi] pair")
-        _build(Interval, pair, "boxes[{}][{}]", i, ax)  # raises Interval's own message
-    raise AssertionError(f"boxes[{i}] is a valid row")
 
 
 def instance_from_json(text: str) -> Instance:

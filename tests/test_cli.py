@@ -46,6 +46,20 @@ def test_gen_deterministic_bytes():
     assert a.stdout == b.stdout
 
 
+def test_gen_extremal_refuses_n_below_1():
+    for n in ("0", "-2"):
+        res = run("gen", "extremal", n)
+        assert res.returncode == 2 and not res.stdout
+        assert res.stderr == f"boxpierce: need n >= 1, got {n}\n"
+
+
+def test_gen_gadget_is_gen_extremal_2_but_for_meta():
+    gadget, extremal = (json.loads(run("gen", *argv).stdout)
+                        for argv in (("gadget",), ("extremal", "2")))
+    assert gadget.pop("meta") != extremal.pop("meta")
+    assert gadget == extremal and set(gadget) == {"dim", "boxes", "lines"}
+
+
 def test_nu_and_tau_on_gadget():
     inst = run("gen", "gadget").stdout
     nu = run("nu", stdin=inst)
@@ -300,6 +314,8 @@ def test_gen_and_verify_build_no_box_and_pierce_does(tmp_path, monkeypatch, caps
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         assert cli.main(argv) == 0
         return capsys.readouterr().out, built["Box"] + built["Interval"]
+    for argv in (["gen", "gadget"], ["gen", "extremal", "7"]):
+        assert stage(argv)[1] == 0
     interval_doc, made = stage(["gen", "random", "--boxes", "40", "--dim", "1", "--seed", "3"])
     assert made == 0
     two_line_doc, made = stage(["gen", "random", "--boxes", "30", "--two-line", "--seed", "3"])

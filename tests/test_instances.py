@@ -126,8 +126,13 @@ _ROWS = [[[i, i + 3], [2 * i, 2 * i + 1]] for i in range(10_000)]
     ([[0, 1], "ab"], "boxes[5000][1]: expected an [lo, hi] pair"),
     ({"lo": 0}, "boxes[5000]: expected 2 [lo, hi] pairs"),
     ([[0, 1]], "boxes[5000]: expected 2 [lo, hi] pairs"),
+    # the axis named is the first bad pair's, not that of an equal pair before or after it
+    ([[4, 3], [4, 3]], "boxes[5000][0]: interval has lo > hi: [4, 3]"),
+    (["ab", [0, 1]], "boxes[5000][0]: expected an [lo, hi] pair"),
+    ([[1, 5], [True, 5]], "boxes[5000][1]: interval lo: coordinate must be an integer, got True"),
 ], ids=["bool", "float", "reversed", "2^63", "-2^63-1", "pair-of-3", "pair-not-a-list",
-        "row-not-a-list", "row-of-dim-1"])
+        "row-not-a-list", "row-of-dim-1", "both-reversed", "first-not-a-list",
+        "bool-equal-to-the-pair-before"])
 def test_malformed_row_deep_in_a_document_is_located(bad, message):
     with pytest.raises(InstanceFormatError) as info:
         _instance({"dim": 2, "boxes": _ROWS[:5000] + [bad] + _ROWS[5001:]})
